@@ -89,7 +89,7 @@ def encode_rc(matrix) -> EncodedMatrix:
     padded = np.zeros((1 << wr, 1 << wc), dtype=np.complex128)
     padded[:rows, :cols] = a / scale
     layout = RegisterLayout([("R", wr), ("C", wc)])
-    return EncodedMatrix(PureState(layout, padded.reshape(-1)), "RC", rows, cols, scale)
+    return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RC", rows, cols, scale)
 
 
 def encode_rcm(matrix) -> EncodedMatrix:
@@ -102,7 +102,7 @@ def encode_rcm(matrix) -> EncodedMatrix:
     padded[:rows, :cols, 0] = a.real / scale
     padded[:rows, :cols, 1] = a.imag / scale
     layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
-    return EncodedMatrix(PureState(layout, padded.reshape(-1)), "RCM", rows, cols, scale)
+    return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 
 
 def extract_payload(

@@ -23,19 +23,17 @@ PAULI = {
 
 
 def _apply_1q(amps: np.ndarray, n: int, position: int, matrix: np.ndarray) -> np.ndarray:
-    a = amps.reshape([2] * n)
-    a = np.moveaxis(a, position, -1)
-    a = a @ matrix.T
-    return np.moveaxis(a, -1, position).reshape(-1)
+    # One BLAS product over the target axis; pinned outputs rely on its rounding.
+    a = amps.reshape(1 << position, 2, 1 << (n - position - 1))
+    return np.tensordot(matrix, a, axes=([1], [1])).transpose(1, 0, 2).reshape(-1)
 
 
 def hadamard_register(state: PureState, register_name: str) -> PureState:
     """Hadamard on every qubit of a register."""
     amps = state.amplitudes
-    n = state.n_qubits
     for position in state.layout.axes(register_name):
-        amps = _apply_1q(amps, n, position, _H)
-    return PureState(state.layout, amps)
+        amps = _apply_1q(amps, state.n_qubits, position, _H)
+    return PureState(state.layout, amps, _adopt=True)
 
 
 def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:
@@ -43,7 +41,8 @@ def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:
     if gate not in PAULI:
         raise ValueError(f"unsupported gate {gate!r}; expected one of {sorted(PAULI)}")
     position = state.layout.qubit_position(qubit)
-    return PureState(state.layout, _apply_1q(state.amplitudes, state.n_qubits, position, PAULI[gate]))
+    amps = _apply_1q(state.amplitudes, state.n_qubits, position, PAULI[gate])
+    return PureState(state.layout, amps, _adopt=True)
 
 
 def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
@@ -58,8 +57,20 @@ def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
     axes = list(range(n))
     for pa, pb in zip(layout.axes(name_a), layout.axes(name_b)):
         axes[pa], axes[pb] = axes[pb], axes[pa]
+    amps = np.transpose(state.tensor_view(), axes).reshape(-1)  # reshape copies
+    return PureState(layout, amps, _adopt=True)
+
+
+def _flip_where(state: PureState, controls: dict[int, int], target: int) -> PureState:
+    """Flip qubit ``target`` where every qubit position in ``controls`` holds its bit."""
     a = state.tensor_view()
-    return PureState(layout, np.transpose(a, axes).reshape(-1))
+    new = a.copy()
+    sel = [controls.get(position, slice(None)) for position in range(state.n_qubits)]
+    s0, s1 = sel.copy(), sel.copy()
+    s0[target], s1[target] = 0, 1
+    new[tuple(s0)] = a[tuple(s1)]
+    new[tuple(s1)] = a[tuple(s0)]
+    return PureState(state.layout, new, _adopt=True)
 
 
 def controlled_on_zero_flip(state: PureState, control_register: str,
@@ -69,47 +80,22 @@ def controlled_on_zero_flip(state: PureState, control_register: str,
     The target must be a single qubit outside the control register.
     """
     layout = state.layout
-    control_axes = list(layout.axes(control_register))
-    if isinstance(target_ancilla, str):
-        target_name = target_ancilla
-    else:
-        target_name = target_ancilla[0]
+    target_name = target_ancilla if isinstance(target_ancilla, str) else target_ancilla[0]
     if target_name == control_register:
         raise ValueError("control register and target ancilla overlap")
     if isinstance(target_ancilla, str) and layout.width(target_name) != 1:
         raise ValueError(f"target register {target_name!r} is wider than one qubit")
     target = layout.qubit_position(target_ancilla)
-
-    n = state.n_qubits
-    a = state.tensor_view()
-    new = a.copy()
-    sel: list = [slice(None)] * n
-    for ax in control_axes:
-        sel[ax] = 0
-    s0, s1 = sel.copy(), sel.copy()
-    s0[target], s1[target] = 0, 1
-    new[tuple(s0)] = a[tuple(s1)]
-    new[tuple(s1)] = a[tuple(s0)]
-    return PureState(layout, new.reshape(-1))
+    return _flip_where(state, dict.fromkeys(layout.axes(control_register), 0), target)
 
 
 def cnot(state: PureState, control_qubit: QubitSpec, target_qubit: QubitSpec) -> PureState:
     """Flip the target qubit where the control qubit is |1>."""
-    layout = state.layout
-    c = layout.qubit_position(control_qubit)
-    t = layout.qubit_position(target_qubit)
+    c = state.layout.qubit_position(control_qubit)
+    t = state.layout.qubit_position(target_qubit)
     if c == t:
         raise ValueError("control and target must be distinct qubits")
-    n = state.n_qubits
-    a = state.tensor_view()
-    new = a.copy()
-    sel: list = [slice(None)] * n
-    sel[c] = 1
-    s0, s1 = sel.copy(), sel.copy()
-    s0[t], s1[t] = 0, 1
-    new[tuple(s0)] = a[tuple(s1)]
-    new[tuple(s1)] = a[tuple(s0)]
-    return PureState(layout, new.reshape(-1))
+    return _flip_where(state, {c: 1}, t)
 
 
 @dataclass(frozen=True)

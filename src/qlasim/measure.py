@@ -48,18 +48,19 @@ class MeasureResult:
 def branch_probability(state: PureState, qubit: QubitSpec, bit: int = 1) -> float:
     """Squared norm of the ``qubit = bit`` sector."""
     position = state.layout.qubit_position(qubit)
-    a = state.tensor_view()
-    a = np.moveaxis(a, position, 0)
-    return float(np.sum(np.abs(a[bit]) ** 2))
+    return float(np.sum(np.abs(state.amplitudes.reshape(1 << position, 2, -1)[:, bit]) ** 2))
 
 
-def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, float]:
-    """Unnormalized amplitudes of one branch and its squared norm."""
-    a = state.tensor_view().copy()
-    a = np.moveaxis(a, position, 0)
-    a[1 - bit] = 0.0
-    a = np.moveaxis(a, 0, position).reshape(-1)
-    return a, float(np.sum(np.abs(a) ** 2))
+def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """One branch copied into a zeroed buffer, and the view of its nonzero half.
+
+    Callers sum the branch weight over the whole buffer, zeros included, so
+    the summation order and every reported ``branch_weight`` bit stay fixed.
+    """
+    src = state.amplitudes.reshape(1 << position, 2, -1)
+    out = np.zeros_like(src)
+    out[:, bit] = src[:, bit]
+    return out, out[:, bit]
 
 
 def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
@@ -69,9 +70,10 @@ def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
     p1 = branch_probability(state, qubit, 1)
     outcome = 1 if rng.random() < p1 else 0
     weight = p1 if outcome == 1 else 1.0 - p1
-    amps, _ = _project(state, position, outcome)
+    branch, kept = _project(state, position, outcome)
+    kept /= np.sqrt(weight)
     return MeasureResult(
-        post_state=PureState(state.layout, amps / np.sqrt(weight)),
+        post_state=PureState(state.layout, branch, _adopt=True),
         outcome=outcome,
         branch_weight=weight,
     )
@@ -82,13 +84,15 @@ def postselect(state: PureState, qubit: QubitSpec, bit: int) -> MeasureResult:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     position = state.layout.qubit_position(qubit)
-    amps, weight = _project(state, position, bit)
+    branch, kept = _project(state, position, bit)
+    weight = float(np.sum(np.abs(branch) ** 2))
     if weight < EMPTY_BRANCH_TOL:
         raise EmptyBranchError(
             f"branch {qubit!r}={bit} carries squared norm {weight!r}; nothing to select"
         )
+    kept /= np.sqrt(weight)
     return MeasureResult(
-        post_state=PureState(state.layout, amps / np.sqrt(weight)),
+        post_state=PureState(state.layout, branch, _adopt=True),
         outcome=bit,
         branch_weight=weight,
     )
@@ -109,11 +113,13 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
     if control == measured:
         raise ValueError("control and measured ancillas must be distinct qubits")
 
-    amps, weight = _project(state, control, 1)
+    branch, kept = _project(state, control, 1)
+    weight = float(np.sum(np.abs(branch) ** 2))
     if weight <= EMPTY_BRANCH_TOL:
         return MeasureResult(post_state=state, outcome=None, branch_weight=0.0)
+    kept /= np.sqrt(weight)
     return MeasureResult(
-        post_state=PureState(layout, amps / np.sqrt(weight)),
+        post_state=PureState(layout, branch, _adopt=True),
         outcome=1,
         branch_weight=weight,
     )

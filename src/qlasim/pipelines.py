@@ -143,7 +143,7 @@ def prepare_labeled_state(
         nd[tuple(sel)] = g * np.sqrt(garbage_weight)
 
     return LabeledState(
-        state=PureState(layout, amps),
+        state=PureState(layout, amps, _adopt=True),
         label_ancilla=label_ancilla,
         payload_registers=tuple(payload_registers) if payload_registers is not None else tuple(other),
         garbage_weight=garbage_weight,
@@ -268,7 +268,7 @@ def _pad_square(encoded: EncodedMatrix) -> EncodedMatrix:
     new = np.zeros((1 << w, 1 << w, 2), dtype=np.complex128)
     new[: 1 << wr, : 1 << wc, :] = old
     square = RegisterLayout([("R", w), ("C", w), ("M", 1)])
-    return EncodedMatrix(PureState(square, new.reshape(-1)), "RCM",
+    return EncodedMatrix(PureState(square, new.reshape(-1), _adopt=True), "RCM",
                          encoded.rows, encoded.cols, encoded.scale)
 
 

@@ -15,7 +15,8 @@ _MASK64 = (1 << 64) - 1
 
 def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent generator for substream ``stream_id`` of ``master_seed``."""
-    key = [int(master_seed) & _MASK64, int(stream_id) & _MASK64]
+    # As a list, Python ints >= 2^63 reach Philox through float64 and collide.
+    key = np.array([int(master_seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

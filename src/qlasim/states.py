@@ -11,12 +11,17 @@ Bit-order convention, fixed for the whole package:
 States are value-semantic: every operation returns a fresh ``PureState`` and
 amplitude buffers are frozen after construction, so states can be shared
 between threads freely.
+
+``PureState(layout, amplitudes)`` copies the caller's array.  Buffers the
+package has just allocated (gate, measurement, encoding, basis, random and
+ancilla states) are adopted without a copy through the private ``_adopt``
+flag and frozen in place.  Both paths run the length and norm checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -136,14 +141,16 @@ class PureState:
 
     layout: RegisterLayout
     amplitudes: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+    def __post_init__(self, _adopt: bool):
+        convert = np.asarray if _adopt else np.array
+        amps = convert(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != self.layout.dim:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, layout needs {self.layout.dim}"
             )
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
+        nrm2 = float(np.vdot(amps, amps).real)
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {nrm2!r}")
         amps.setflags(write=False)
@@ -165,15 +172,15 @@ def basis_state(layout: RegisterLayout, assignments: Mapping[str, int]) -> PureS
     """Computational basis state selected by a full register assignment."""
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[layout.index_of(assignments)] = 1.0
-    return PureState(layout, amps)
+    return PureState(layout, amps, _adopt=True)
 
 
 def add_ancilla(state: PureState, name: str, width: int = 1) -> PureState:
     """Append a ground-state ancilla register as the least significant bits."""
     layout = state.layout.extended(name, width)
-    ground = np.zeros(1 << width, dtype=np.complex128)
-    ground[0] = 1.0
-    return PureState(layout, np.kron(state.amplitudes, ground))
+    amps = np.zeros((state.layout.dim, 1 << width), dtype=np.complex128)
+    amps[:, 0] = state.amplitudes
+    return PureState(layout, amps, _adopt=True)
 
 
 def amplitude_of(state: PureState, assignments: Mapping[str, int]) -> complex:
@@ -184,4 +191,4 @@ def amplitude_of(state: PureState, assignments: Mapping[str, int]) -> complex:
 def random_state(layout: RegisterLayout, rng: np.random.Generator) -> PureState:
     """Haar-ish random unit state (normalized complex Gaussian amplitudes)."""
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-    return PureState(layout, amps / np.linalg.norm(amps))
+    return PureState(layout, amps / np.linalg.norm(amps), _adopt=True)

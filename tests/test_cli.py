@@ -174,3 +174,44 @@ def test_dumps_17_significant_digits():
     x = 1 / 3
     assert dumps(x) == format(x, ".17g")
     assert float(dumps(x)) == x
+
+
+GOLDEN_MATRICES = {
+    "real_zeros": [[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 0.0]],
+    "complex_2x3": [[1 + 2j, 0.0, -0.5j], [0.25, 3 - 1j, 1j]],
+    "neg_eye3": -np.eye(3),
+}
+
+# Exact --output json bytes; the state kernels may change, these may not.
+GOLDEN_JSON = {
+    ("rowsum", "real_zeros"):
+        '{"command":"rowsum","outcome":1,"branch_weight":0.23245614035087717,'
+        '"recovered_norm":0.96427411113412598,"gate_depth":8,"result":{"rows":3,"cols":1,'
+        '"data":[[-1,0],[0,0],[3.5,0]]},"residual":0}\n',
+    ("hconj", "real_zeros"):
+        '{"command":"hconj","outcome":1,"result":{"rows":3,"cols":3,"data":[[1,0],[0,0],'
+        '[3,0],[0,0],[0,0],[0.5,0],[-2,0],[0,0],[0,0]]},"residual":0}\n',
+    ("rowsum", "complex_2x3"):
+        '{"command":"rowsum","outcome":1,"branch_weight":0.21168582375478925,'
+        '"recovered_norm":0.92018655446553721,"gate_depth":8,"result":{"rows":2,"cols":1,'
+        '"data":[[0.99999999999999989,1.5],[3.2500000000000004,-4.4700886148098244e-17]]},'
+        '"residual":4.4408920985006262e-16}\n',
+    ("hconj", "complex_2x3"):
+        '{"command":"hconj","outcome":1,"result":{"rows":3,"cols":2,"data":[[1,-2],[0.25,0],'
+        '[0,0],[3,1],[0,0.5],[0,-1]]},"residual":0}\n',
+    ("rowsum", "neg_eye3"):
+        '{"command":"rowsum","outcome":1,"branch_weight":0.25,"recovered_norm":1,'
+        '"gate_depth":8,"result":{"rows":3,"cols":1,"data":[[-1,0],[-1,0],[-1,0]]},'
+        '"residual":0}\n',
+    ("hconj", "neg_eye3"):
+        '{"command":"hconj","outcome":1,"result":{"rows":3,"cols":3,"data":[[-1,0],[0,0],'
+        '[0,0],[0,0],[-1,0],[0,0],[0,0],[0,0],[-1,0]]},"residual":0}\n',
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN_JSON))
+def test_json_output_is_pinned(tmp_path, capsys, command, name):
+    path = _write(tmp_path, f"{name}.json", GOLDEN_MATRICES[name])
+    code, out = _run(capsys, [command, path, "--output", "json"])
+    assert code == 0
+    assert out == GOLDEN_JSON[command, name]

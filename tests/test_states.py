@@ -6,8 +6,21 @@ from qlasim import (
     RegisterLayout,
     add_ancilla,
     amplitude_of,
+    apply_single,
     basis_state,
+    cnot,
+    controlled_measure,
+    controlled_on_zero_flip,
+    encode_rc,
+    encode_rcm,
+    hadamard_register,
+    hermitian_conjugate,
+    measure_sampled,
+    postselect,
+    prepare_labeled_state,
     random_state,
+    stream,
+    swap_registers,
 )
 
 
@@ -146,3 +159,57 @@ def test_qubit_position_conventions():
         layout.qubit_position("S")
     with pytest.raises(ValueError, match="out of range"):
         layout.qubit_position(("R", 1))
+
+
+def test_purestate_copies_caller_array():
+    layout = RegisterLayout([("R", 1)])
+    arr = np.array([1.0, 0.0], dtype=np.complex128)
+    state = PureState(layout, arr)
+    arr[0], arr[1] = 0.0, 1.0
+    np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
+    assert arr.flags.writeable
+
+
+def test_purestate_adopts_package_buffer_without_copy():
+    layout = RegisterLayout([("R", 2)])
+    buf = np.full(4, 0.5, dtype=np.complex128)
+    state = PureState(layout, buf, _adopt=True)
+    assert np.shares_memory(state.amplitudes, buf)
+    assert not state.amplitudes.flags.writeable
+
+
+def test_adopt_path_keeps_length_and_norm_checks():
+    layout = RegisterLayout([("R", 2)])
+    with pytest.raises(ValueError, match="length 2"):
+        PureState(layout, np.array([1.0, 0.0], dtype=np.complex128), _adopt=True)
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(layout, np.ones(4, dtype=np.complex128), _adopt=True)
+
+
+def test_every_state_output_is_read_only():
+    rng = np.random.default_rng(3)
+    layout = RegisterLayout([("R", 2), ("C", 2), ("A", 1), ("B", 1)])
+    state = random_state(layout, rng)
+    outputs = [
+        state,
+        basis_state(layout, {"R": 1, "C": 2, "A": 0, "B": 1}),
+        add_ancilla(state, "F"),
+        hadamard_register(state, "C"),
+        apply_single(state, "A", "X"),
+        apply_single(state, "B", "Z"),
+        swap_registers(state, "R", "C"),
+        controlled_on_zero_flip(state, "C", "A"),
+        cnot(state, "A", "B"),
+        controlled_measure(state, "A", "B").post_state,
+        measure_sampled(state, "B", stream(0)).post_state,
+        postselect(state, "A", 1).post_state,
+        encode_rc(rng.standard_normal((3, 2))).state,
+        encode_rcm(rng.standard_normal((2, 3))).state,
+        hermitian_conjugate(encode_rcm(rng.standard_normal((2, 3)))).state,
+        prepare_labeled_state({(1,): 0.6}, RegisterLayout([("S", 1), ("L", 1)]), "L",
+                              0.64, stream(0)).state,
+    ]
+    for out in outputs:
+        assert not out.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 0.0
