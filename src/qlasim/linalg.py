@@ -10,12 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Pivot magnitude below which a matrix counts as singular.
+# A pivot at most PIVOT_TOL * max|a_ij| marks the matrix as singular, so the
+# test is the same at every scale and an all-zero matrix is singular.
 PIVOT_TOL = 1e-13
 
 
 class SingularMatrixError(ValueError):
-    """Elimination hit a pivot below :data:`PIVOT_TOL`."""
+    """Elimination hit a pivot at most :data:`PIVOT_TOL` times the largest entry."""
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,22 @@ def _square(matrix) -> np.ndarray:
     return a
 
 
+def _pivot_floor(a: np.ndarray) -> float:
+    return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))
+
+
 def det_lu(matrix) -> complex:
-    """Determinant via LU with partial pivoting; 0 for (near-)singular input."""
+    """Determinant via LU with partial pivoting; 0 for (near-)singular input.
+
+    Singular means a pivot at most :data:`PIVOT_TOL` times the largest entry.
+    """
     a = _square(matrix)
     n = a.shape[0]
+    floor = _pivot_floor(a)
     det = 1.0 + 0.0j
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_TOL:
+        if abs(a[p, k]) <= floor:
             return 0j
         if p != k:
             a[[k, p]] = a[[p, k]]
@@ -51,15 +60,21 @@ def det_lu(matrix) -> complex:
 
 
 def inverse_gj(matrix) -> OracleReport:
-    """Inverse via Gauss-Jordan with partial pivoting."""
+    """Inverse via Gauss-Jordan with partial pivoting.
+
+    Raises :class:`SingularMatrixError` on a pivot at most :data:`PIVOT_TOL`
+    times the largest entry.
+    """
     a = _square(matrix)
     n = a.shape[0]
+    floor = _pivot_floor(a)
     aug = np.hstack([a.copy(), np.eye(n, dtype=np.complex128)])
     pivots: list[int] = []
     for k in range(n):
         p = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[p, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {abs(aug[p, k]):.3e} below {PIVOT_TOL}")
+        if abs(aug[p, k]) <= floor:
+            raise SingularMatrixError(
+                f"pivot {abs(aug[p, k]):.3e} at most {PIVOT_TOL} * max|a_ij| = {floor:.3e}")
         if p != k:
             aug[[k, p]] = aug[[p, k]]
         pivots.append(p)

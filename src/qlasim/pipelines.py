@@ -40,8 +40,8 @@ from .gates import (
     mcx_decomposition_count,
     swap_registers,
 )
-from .measure import MeasureResult, controlled_measure, measure_sampled
-from .rng import as_generator, stream
+from .measure import MeasureResult, branch_probability, controlled_measure, measure_sampled
+from .rng import as_generator, first_draws, stream
 from .states import PureState, RegisterLayout, add_ancilla
 
 LABEL = "label"
@@ -615,14 +615,23 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
     For each RC-encoded input, the fully built pre-measurement state is
     sampled ``trials`` times on the flag ancilla (success probability =
     labeled weight, which shrinks like 2^-width(C) for column-concentrated
-    matrices), and extracted once deterministically.  Trials use independent
-    counter-based substreams of ``master_seed``.
+    matrices), and extracted once deterministically.  Trial ``t`` draws from
+    substream ``t`` of ``master_seed``.
+
+    The flag probability ``p1`` is computed once per input, exactly as
+    :func:`measure_sampled` computes it, and trial ``t`` hits when its uniform
+    is below ``p1``.  The uniforms come from one :func:`first_draws` call,
+    shared by all inputs and equal bit for bit to
+    ``stream(master_seed, t).random()``, so every ``empirical_p`` is the one
+    a per-trial ``measure_sampled`` loop gives, without building a
+    post-state per trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if isinstance(encoded_inputs, EncodedMatrix):
         encoded_inputs = [encoded_inputs]
 
+    draws = first_draws(master_seed, np.arange(trials, dtype=np.uint64))
     out: list[BenchRow] = []
     for encoded in encoded_inputs:
         n_r = encoded.state.layout.width("C")
@@ -633,10 +642,8 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
 
         pre = add_ancilla(_row_sum_labeled(encoded), FLAG)
         pre = cnot(pre, (LABEL, 0), (FLAG, 0))
-        hits = 0
-        for t in range(trials):
-            res = measure_sampled(pre, (FLAG, 0), stream(master_seed, t))
-            hits += 1 if res.outcome == 1 else 0
+        p1 = branch_probability(pre, (FLAG, 0), 1)
+        hits = int(np.count_nonzero(draws < p1))
         controlled = controlled_measure(pre, (LABEL, 0), (FLAG, 0))
         out.append(BenchRow(
             n_r=n_r,

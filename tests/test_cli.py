@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,7 @@ GOLDEN_MATRICES = {
     "real_zeros": [[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [3.0, 0.5, 0.0]],
     "complex_2x3": [[1 + 2j, 0.0, -0.5j], [0.25, 3 - 1j, 1j]],
     "neg_eye3": -np.eye(3),
+    "single_column_4x8": np.pad([[0.5], [-0.5], [0.5], [0.5]], ((0, 0), (0, 7))),
 }
 
 # Exact --output json bytes; the state kernels may change, these may not.
@@ -215,3 +218,56 @@ def test_json_output_is_pinned(tmp_path, capsys, command, name):
     code, out = _run(capsys, [command, path, "--output", "json"])
     assert code == 0
     assert out == GOLDEN_JSON[command, name]
+
+
+def _bench_measure_json(n_r, analytic_p, empirical_p, trials):
+    return ('{"command":"bench-measure","trials":%d,"rows":[{"n_r":%d,"analytic_p":%s,'
+            '"empirical_p":%s,"controlled_success_rate":1}]}\n'
+            % (trials, n_r, analytic_p, empirical_p))
+
+
+# Exact bench-measure --output json bytes; how the trials are drawn may change,
+# which trials hit may not.
+GOLDEN_BENCH_MEASURE = {
+    ("real_zeros", 10000, 0):
+        _bench_measure_json(2, "0.23245614035087722", "0.22670000000000001", 10000),
+    ("complex_2x3", 200, 7):
+        _bench_measure_json(2, "0.21168582375478934", "0.13500000000000001", 200),
+    ("neg_eye3", 1, 2**64 - 1):
+        _bench_measure_json(2, "0.25000000000000006", "1", 1),
+    ("single_column_4x8", 10000, 3):
+        _bench_measure_json(3, "0.125", "0.12670000000000001", 10000),
+    ("single_column_4x8", 333, 12345):
+        _bench_measure_json(3, "0.125", "0.13813813813813813", 333),
+}
+
+
+@pytest.mark.parametrize("name, trials, seed", sorted(GOLDEN_BENCH_MEASURE))
+def test_bench_measure_output_is_pinned(tmp_path, capsys, name, trials, seed):
+    path = _write(tmp_path, f"{name}.json", GOLDEN_MATRICES[name])
+    code, out = _run(capsys, ["bench-measure", path, "--trials", str(trials),
+                              "--seed", str(seed), "--output", "json"])
+    assert code == 0
+    assert out == GOLDEN_BENCH_MEASURE[name, trials, seed]
+
+
+DEMO_02_OUTPUT = """\
+single-column inputs, 4000 sampled trials per size
+
+n_C  analytic p  empirical p  deterministic success
+  1    0.500000     0.517000                   100%
+  2    0.250000     0.252250                   100%
+  3    0.125000     0.126000                   100%
+  4    0.062500     0.065500                   100%
+  5    0.031250     0.034000                   100%
+  6    0.015625     0.018750                   100%
+
+log2(analytic p) drops by -1.000 per extra summed qubit
+naive sampling decays exponentially; the deterministic extraction succeeded in every run above
+"""
+
+
+def test_demo_02_output_is_pinned(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "02_measurement_success_scaling.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_02_OUTPUT

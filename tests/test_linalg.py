@@ -96,6 +96,21 @@ def test_inverse_singular_raises():
         inverse_gj([[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_zero_matrix_is_singular():
+    with pytest.raises(SingularMatrixError):
+        inverse_gj(np.zeros((2, 2)))
+    assert det_lu(np.zeros((3, 3))) == 0
+
+
+def test_pivot_tolerance_scales_with_the_matrix():
+    # Condition number 1 at any scale; an absolute pivot bound called these singular.
+    assert det_lu(1e-14 * np.eye(4)) == 1e-56
+    np.testing.assert_array_equal(inverse_gj(1e-14 * np.eye(2)).value, 1e14 * np.eye(2))
+    assert det_lu(1e-14 * np.array([[1.0, 2.0], [2.0, 4.0]])) == 0
+    with pytest.raises(SingularMatrixError):
+        inverse_gj(1e20 * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
 def test_row_sums_known():
     np.testing.assert_allclose(row_sums([[1, 2], [3, 4]]), [3, 7])
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from qlasim import (
     stream,
 )
 from qlasim.linalg import SingularMatrixError
-from qlasim.pipelines import FLAG, LABEL
+from qlasim.measure import measure_sampled
+from qlasim.pipelines import FLAG, LABEL, _row_sum_labeled
+from qlasim.states import add_ancilla
 
 ATOL = 1e-10
 
@@ -379,6 +383,14 @@ def test_inverse_singular_raises():
         matrix_inverse([[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_inverse_of_tiny_well_conditioned_matrix():
+    a = 1e-14 * np.eye(2)
+    report = matrix_inverse(a)
+    assert report.outcome == 1
+    expected = np.linalg.inv(a)
+    assert np.max(np.abs(report.result.matrix - expected)) <= ATOL * np.max(np.abs(expected))
+
+
 def test_inverse_ill_conditioned_raises():
     with pytest.raises(SingularMatrixError, match="condition"):
         matrix_inverse(np.diag([1.0, 1e-10]))
@@ -441,6 +453,42 @@ def test_bench_log_slope_is_minus_one():
     logs = [np.log2(r.analytic_p) for r in rows]
     diffs = np.diff(logs)
     np.testing.assert_allclose(diffs, -1.0, atol=1e-12)
+
+
+def test_bench_hits_equal_per_trial_measurement():
+    # Reference: a measure_sampled call on substream t for every trial t.
+    rng = np.random.default_rng(49)
+    for encoded, seed in ((encode_rc(_rand(rng, 4, 4)), 5),
+                          (encode_rc(_single_column(2)), 2**64 - 1)):
+        pre = cnot(add_ancilla(_row_sum_labeled(encoded), FLAG), (LABEL, 0), (FLAG, 0))
+        hits = sum(measure_sampled(pre, (FLAG, 0), stream(seed, t)).outcome == 1
+                   for t in range(300))
+        row = naive_success_bench(encoded, trials=300, master_seed=seed)[0]
+        assert row.empirical_p == hits / 300
+
+
+def test_bench_empirical_p_is_pinned():
+    # Acceptance criterion 2's inputs; values drawn by a per-trial measure_sampled loop.
+    pinned = [0.4998, 0.2554, 0.1267, 0.0592, 0.0311, 0.0159]
+    for n_r, expected in zip(range(1, 7), pinned):
+        column = np.zeros((4, 2 ** n_r))
+        column[:, 2 ** n_r - 1] = [0.5, -0.5, 0.5, 0.5]
+        row = naive_success_bench(encode_rc(column), 10_000, master_seed=n_r)[0]
+        assert row.empirical_p == expected
+
+
+def test_bench_draws_in_bounded_memory():
+    # Unchunked draws peak near 136 MB here; chunked, the ids and the draws
+    # themselves (16 B per trial) are most of the peak.
+    encoded = encode_rc(_single_column(1))
+    tracemalloc.start()
+    try:
+        row = naive_success_bench(encoded, trials=1_000_000, master_seed=3)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert abs(row.empirical_p - 0.5) < 5 * np.sqrt(0.25 / 1_000_000)
 
 
 def test_sampled_mode_success_matches_ideal_post_state():

@@ -1,4 +1,4 @@
-"""Property-based checks of the state kernels on random layouts."""
+"""Property-based checks of the state kernels and the encodings."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from qlasim import (
     RegisterLayout,
     apply_single,
+    decode_rc,
+    decode_rcm,
+    encode_rc,
     encode_rcm,
     hadamard_register,
     hermitian_conjugate,
@@ -16,6 +19,7 @@ from qlasim import (
 from qlasim.gates import _flip_where
 
 NORM_DRIFT = 1e-12
+ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
 
 
 @st.composite
@@ -88,3 +92,44 @@ def test_hermitian_conjugate_twice_gives_back_the_amplitudes(rows, cols, seed, z
     assert np.array_equal(back[: 1 << wr, : 1 << wc],
                           encoded.state.amplitudes.reshape(1 << wr, 1 << wc, 2))
     assert not np.any(back[1 << wr:]) and not np.any(back[:, 1 << wc:])
+
+
+def _is_power_of_two(n):
+    return n & (n - 1) == 0
+
+
+@st.composite
+def padded_shapes(draw):
+    """Shapes with at least one side that is not a power of two, so encoding pads."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    assume(not (_is_power_of_two(rows) and _is_power_of_two(cols)))
+    return rows, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(padded_shapes(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9),
+       st.integers(-100, 100), st.booleans())
+def test_decode_inverts_encode(shape, seed, zero_share, exponent, real):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
+    a[rng.random(shape) < zero_share] = 0.0
+    a[0, 0] = 1.0
+    a *= 10.0 ** exponent
+    for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
+        back = decode(encode(a)).matrix
+        assert back.shape == a.shape
+        assert np.max(np.abs(back - a)) <= ROUND_TRIP_TOL * np.max(np.abs(a))
+        assert np.array_equal(back == 0, a == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(padded_shapes(), st.data(), st.floats(1e-150, 1e150), st.booleans())
+def test_decode_inverts_encode_exactly_for_one_real_entry(shape, data, magnitude, negative):
+    # While its square neither underflows nor overflows, the norm of one real
+    # entry is its magnitude exactly, so nothing rounds.
+    a = np.zeros(shape)
+    i = data.draw(st.integers(0, shape[0] - 1))
+    j = data.draw(st.integers(0, shape[1] - 1))
+    a[i, j] = -magnitude if negative else magnitude
+    for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
+        assert np.array_equal(decode(encode(a)).matrix, a)
