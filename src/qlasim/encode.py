@@ -26,6 +26,8 @@ from .states import PureState, RegisterLayout
 # Mass allowed outside the dominant basis assignment of non-payload registers.
 SECTOR_TOL = 1e-8
 
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # 2^-511
+
 
 class NonProductSectorError(ValueError):
     """Decoding failed: the non-payload registers are not in one basis state."""
@@ -80,14 +82,38 @@ def _checked(matrix) -> np.ndarray:
     return a
 
 
+def _norm_scaling(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(b, divisor, scale)``: ``b / divisor`` has unit norm, ``scale`` is ``|a|_F``.
+
+    While the sum of squares stays in float64's normal range this is
+    ``(a, s, s)`` with ``s = np.linalg.norm(a)``, so the encodings keep their
+    bits.  Past it (the norm reads ``inf``, or at most ``sqrt(tiny) = 2^-511``,
+    where the squares have lost their precision) ``b`` is ``a`` scaled by the
+    power of two that brings ``max|a_ij|`` into [0.5, 1), which is exact.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        scale = float(np.linalg.norm(a))
+    if _SQRT_TINY < scale < np.inf:
+        return a, scale, scale
+    _, exponent = np.frexp(np.max(np.abs(a)))
+    b = np.empty_like(a)
+    b.real, b.imag = np.ldexp(a.real, -exponent), np.ldexp(a.imag, -exponent)
+    divisor = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        scale = float(np.ldexp(divisor, exponent))
+    if scale == np.inf:
+        raise ValueError("Frobenius norm exceeds the float64 range")
+    return b, divisor, scale
+
+
 def encode_rc(matrix) -> EncodedMatrix:
     """Encode entries as amplitudes over row/column index registers."""
     a = _checked(matrix)
     rows, cols = a.shape
     wr, wc = _reg_width(rows), _reg_width(cols)
-    scale = float(np.linalg.norm(a))
+    b, divisor, scale = _norm_scaling(a)
     padded = np.zeros((1 << wr, 1 << wc), dtype=np.complex128)
-    padded[:rows, :cols] = a / scale
+    padded[:rows, :cols] = b / divisor
     layout = RegisterLayout([("R", wr), ("C", wc)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RC", rows, cols, scale)
 
@@ -97,10 +123,10 @@ def encode_rcm(matrix) -> EncodedMatrix:
     a = _checked(matrix)
     rows, cols = a.shape
     wr, wc = _reg_width(rows), _reg_width(cols)
-    scale = float(np.linalg.norm(a))
+    b, divisor, scale = _norm_scaling(a)
     padded = np.zeros((1 << wr, 1 << wc, 2), dtype=np.complex128)
-    padded[:rows, :cols, 0] = a.real / scale
-    padded[:rows, :cols, 1] = a.imag / scale
+    padded[:rows, :cols, 0] = b.real / divisor
+    padded[:rows, :cols, 1] = b.imag / divisor
     layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 
@@ -139,6 +165,16 @@ def extract_payload(
 
     block = flat[:, k].copy()
     return block.reshape([1 << layout.width(nm) for nm in payload]), assignment, off
+
+
+def _payload_mass(block: np.ndarray) -> float:
+    """Squared norm of one payload block, summed as :func:`extract_payload` sums it.
+
+    ``extract_payload`` reduces over the payload axes of a C-ordered
+    ``(payload, rest)`` array, which adds the entries of a column one after
+    another in payload C order; a running sum in that order gives its bits.
+    """
+    return float(np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1])
 
 
 def _resolve_source(source, rows, cols, scale, scheme: str):

@@ -12,6 +12,11 @@ Three ways to read an ancilla out of a state:
   if none exists the input state is returned untouched.  The operation is not
   unitary, and the pre-measurement branch weight survives only in the
   ``branch_weight`` field, never in the post-state.
+
+:func:`extract_labeled_branch` gives the successful result of either
+extraction from the labeled branch alone, for callers that know that branch
+in closed form and would otherwise build the unlabeled one only to discard
+it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_generator
-from .states import PureState, QubitSpec
+from .states import PureState, QubitSpec, RegisterLayout
 
 # A branch below this squared norm counts as absent.
 EMPTY_BRANCH_TOL = 1e-14
@@ -45,10 +50,24 @@ class MeasureResult:
     branch_weight: float
 
 
+def _sector(amps: np.ndarray, position: int, bit: int) -> np.ndarray:
+    """View of the ``bit`` half of a flat buffer along qubit ``position``."""
+    return amps.reshape(1 << position, 2, -1)[:, bit]
+
+
+def _squared_norm(amps: np.ndarray) -> float:
+    """Sum of ``|amp|^2`` in numpy's pairwise order over the array as shaped.
+
+    Every reported ``branch_weight`` bit depends on this order, so the
+    weights are always summed over the same buffer: zeros included, since
+    they add exactly.
+    """
+    return float(np.sum(np.abs(amps) ** 2))
+
+
 def branch_probability(state: PureState, qubit: QubitSpec, bit: int = 1) -> float:
     """Squared norm of the ``qubit = bit`` sector."""
-    position = state.layout.qubit_position(qubit)
-    return float(np.sum(np.abs(state.amplitudes.reshape(1 << position, 2, -1)[:, bit]) ** 2))
+    return _squared_norm(_sector(state.amplitudes, state.layout.qubit_position(qubit), bit))
 
 
 def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +79,7 @@ def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, np.
     src = state.amplitudes.reshape(1 << position, 2, -1)
     out = np.zeros_like(src)
     out[:, bit] = src[:, bit]
-    return out, out[:, bit]
+    return out, _sector(out, position, bit)
 
 
 def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
@@ -85,7 +104,7 @@ def postselect(state: PureState, qubit: QubitSpec, bit: int) -> MeasureResult:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     position = state.layout.qubit_position(qubit)
     branch, kept = _project(state, position, bit)
-    weight = float(np.sum(np.abs(branch) ** 2))
+    weight = _squared_norm(branch)
     if weight < EMPTY_BRANCH_TOL:
         raise EmptyBranchError(
             f"branch {qubit!r}={bit} carries squared norm {weight!r}; nothing to select"
@@ -114,7 +133,7 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
         raise ValueError("control and measured ancillas must be distinct qubits")
 
     branch, kept = _project(state, control, 1)
-    weight = float(np.sum(np.abs(branch) ** 2))
+    weight = _squared_norm(branch)
     if weight <= EMPTY_BRANCH_TOL:
         return MeasureResult(post_state=state, outcome=None, branch_weight=0.0)
     kept /= np.sqrt(weight)
@@ -123,3 +142,39 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
         outcome=1,
         branch_weight=weight,
     )
+
+
+def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
+                           amplitudes: np.ndarray, control_ancilla: QubitSpec,
+                           measured_ancilla: QubitSpec, rng=None) -> MeasureResult | None:
+    """The successful result of an extraction, built from the labeled branch alone.
+
+    ``amplitudes`` sit at the flat basis ``positions`` of ``layout``, all with
+    ``control_ancilla`` and ``measured_ancilla`` at |1> (the labeled branch
+    after its labeling CNOT); nothing else of the state is needed.  Without
+    ``rng`` the result is that of :func:`controlled_measure`, with it that of
+    :func:`measure_sampled` on ``measured_ancilla``, whenever that is the
+    labeled branch.  Returns ``None`` when it is not, because the answer
+    depends on the unlabeled branch: the labeled weight is at most
+    :data:`EMPTY_BRANCH_TOL`, or the draw selects 0.
+
+    The buffer is the one those functions project onto, the same shape and
+    with the same values, so the weight, summed over the whole buffer or over
+    the measured=1 half, and the renormalized amplitudes have the same bits.
+    """
+    branch = np.zeros(layout.dim, dtype=np.complex128)
+    branch[positions] = amplitudes
+    if rng is None:
+        position = layout.qubit_position(control_ancilla)
+        weight = _squared_norm(branch.reshape(1 << position, 2, -1))
+        if weight <= EMPTY_BRANCH_TOL:
+            return None
+    else:
+        position = layout.qubit_position(measured_ancilla)
+        weight = _squared_norm(_sector(branch, position, 1))
+        if not as_generator(rng).random() < weight:
+            return None
+    kept = _sector(branch, position, 1)
+    kept /= np.sqrt(weight)
+    return MeasureResult(post_state=PureState(layout, branch, _adopt=True), outcome=1,
+                         branch_weight=weight)

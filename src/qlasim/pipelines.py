@@ -13,7 +13,9 @@ and a garbage branch with the label in |0>:
 ``row_sum`` builds its labeled state from gates (Hadamards plus an
 all-zero-controlled flip); the matrix-algebra end stages initialize their
 labeled states directly from closed-form coefficients, standing in for the
-upstream preparation circuits, and exercise only the final stage.
+upstream preparation circuits, and exercise only the final stage.  They share
+one routine, which builds garbage only when a result reads it: on success it
+builds just the labeled post-state, bit for bit what the three steps give.
 
 Results come back up to normalization: the decoded entries have a fixed
 direction, and the lost magnitude is recovered from the measured branch
@@ -25,13 +27,15 @@ deterministic extraction avoids.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .encode import DecodedResult, EncodedMatrix, extract_payload, _reg_width
+from .encode import DecodedResult, EncodedMatrix, extract_payload, _payload_mass, _reg_width
 from .gates import (
     apply_single,
     cnot,
@@ -40,7 +44,8 @@ from .gates import (
     mcx_decomposition_count,
     swap_registers,
 )
-from .measure import MeasureResult, branch_probability, controlled_measure, measure_sampled
+from .measure import (MeasureResult, branch_probability, controlled_measure,
+                      extract_labeled_branch, measure_sampled)
 from .rng import as_generator, first_draws, stream
 from .states import PureState, RegisterLayout, add_ancilla
 
@@ -53,20 +58,43 @@ PAYLOAD_EXCESS_TOL = 1e-12
 
 _MODES = ("ideal", "sampled")
 _SAMPLE_STREAM = 1 << 32  # substream reserved for the sampled-mode draw
+_STAGE_DEPTH = 1  # a closed-form end stage applies a single labeling CNOT
 
 
 class PreparationError(ValueError):
     """Closed-form coefficients cannot fit in a unit-norm state as scaled."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledState:
-    """A state split into a labeled useful branch and weighted garbage."""
+    """A state split into a labeled useful branch and weighted garbage.
 
-    state: PureState
+    The labeled branch is ``coefficients`` at the flat basis ``positions`` of
+    ``layout``, each with the label at |1>.  The garbage is kept as its weight
+    and the generator it comes from, and is drawn on the first read of
+    ``state``, which builds the dense state once.
+    """
+
+    layout: RegisterLayout
     label_ancilla: str
     payload_registers: tuple[str, ...]
     garbage_weight: float
+    positions: np.ndarray
+    coefficients: np.ndarray
+    garbage_rng: np.random.Generator = field(repr=False)
+
+    @cached_property
+    def state(self) -> PureState:
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.positions] = self.coefficients
+        if self.garbage_weight > 0.0:
+            axis = self.layout.qubit_position((self.label_ancilla, 0))
+            sector = amps.reshape(1 << axis, 2, -1)[:, 0]  # label = |0>
+            rng = self.garbage_rng
+            g = rng.standard_normal(sector.shape) + 1j * rng.standard_normal(sector.shape)
+            g /= np.linalg.norm(g)
+            sector[...] = g * np.sqrt(self.garbage_weight)
+        return PureState(self.layout, amps, _adopt=True)
 
 
 @dataclass(frozen=True)
@@ -90,6 +118,37 @@ class PipelineReport:
     final_state: PureState
 
 
+class _CoefficientBlock(Mapping):
+    """Coefficients with one axis per payload register, as a payload mapping.
+
+    The other non-label registers sit at their ``fixed`` values.  The basis
+    positions are computed in one vectorized pass and ``values()`` is the
+    coefficient array; keys are built only for a caller that iterates.
+    """
+
+    def __init__(self, layout: RegisterLayout, payload: Sequence[str], coeffs: np.ndarray,
+                 fixed: Mapping[str, int]):
+        grids = np.ix_(*(np.arange(1 << layout.width(name)) for name in payload))
+        positions = layout.indices_of({**fixed, **dict(zip(payload, grids)), LABEL: 1})
+        self.positions = np.broadcast_to(positions, coeffs.shape).reshape(-1)
+        self.coefficients = coeffs.reshape(-1)
+        self._layout = layout
+
+    def __iter__(self):
+        for position in self.positions.tolist():
+            assignment = self._layout.assignment_of(position)
+            yield tuple(value for name, value in assignment.items() if name != LABEL)
+
+    def __getitem__(self, key):
+        return dict(zip(self, self.coefficients))[key]
+
+    def __len__(self) -> int:
+        return self.coefficients.size
+
+    def values(self):
+        return self.coefficients
+
+
 def prepare_labeled_state(
     payload: Mapping[tuple[int, ...], complex],
     layout: RegisterLayout,
@@ -104,13 +163,27 @@ def prepare_labeled_state(
     to the coefficient that basis state carries on the label=|1> branch.  The
     garbage branch is a seeded pseudo-random unit state on the label=|0>
     sector, scaled to ``garbage_weight``; the two weights must sum to one.
+    The garbage is drawn from ``rng`` only on the first read of ``.state``,
+    so drawing from the same generator before that read changes it.
     """
     rng = as_generator(rng)
     if layout.width(label_ancilla) != 1:
         raise ValueError(f"label ancilla {label_ancilla!r} must be one qubit")
     other = [nm for nm in layout.names if nm != label_ancilla]
 
-    total = float(sum(abs(c) ** 2 for c in payload.values()))
+    if isinstance(payload, _CoefficientBlock):
+        positions, coeffs = payload.positions, payload.coefficients
+    else:
+        for key in payload:
+            if len(key) != len(other):
+                raise ValueError(
+                    f"payload key {key!r} must assign the {len(other)} non-label registers"
+                )
+        columns = np.array(list(payload), dtype=np.int64).reshape(len(payload), len(other)).T
+        positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
+        coeffs = np.array(list(payload.values()), dtype=np.complex128).reshape(-1)
+
+    total = float(np.sum(np.abs(coeffs) ** 2))
     if total > 1.0 + PAYLOAD_EXCESS_TOL:
         raise ValueError(f"payload squared norm {total!r} exceeds 1")
     if garbage_weight < -PAYLOAD_EXCESS_TOL:
@@ -121,33 +194,9 @@ def prepare_labeled_state(
             f"payload weight {total!r} + garbage weight {garbage_weight!r} must sum to 1"
         )
 
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    for key, coeff in payload.items():
-        if len(key) != len(other):
-            raise ValueError(
-                f"payload key {key!r} must assign the {len(other)} non-label registers"
-            )
-        assignment = dict(zip(other, key))
-        assignment[label_ancilla] = 1
-        amps[layout.index_of(assignment)] = coeff
-
-    if garbage_weight > 0.0:
-        n = layout.total_qubits
-        axis = layout.qubit_position((label_ancilla, 0))
-        nd = amps.reshape([2] * n)
-        sector_shape = nd.shape[:axis] + nd.shape[axis + 1:]
-        g = rng.standard_normal(sector_shape) + 1j * rng.standard_normal(sector_shape)
-        g /= np.linalg.norm(g)
-        sel: list = [slice(None)] * n
-        sel[axis] = 0
-        nd[tuple(sel)] = g * np.sqrt(garbage_weight)
-
-    return LabeledState(
-        state=PureState(layout, amps, _adopt=True),
-        label_ancilla=label_ancilla,
-        payload_registers=tuple(payload_registers) if payload_registers is not None else tuple(other),
-        garbage_weight=garbage_weight,
-    )
+    payload_registers = tuple(other if payload_registers is None else payload_registers)
+    return LabeledState(layout, label_ancilla, payload_registers, garbage_weight, positions,
+                        coeffs, garbage_rng=rng)
 
 
 def _check_mode(mode: str) -> None:
@@ -165,45 +214,46 @@ def _label_and_measure(state: PureState, label: str, mode: str, seed: int) -> Me
 
 
 def _failure(meas: MeasureResult, depth: int) -> PipelineReport:
-    return PipelineReport(
-        outcome=meas.outcome,
-        branch_weight=meas.branch_weight if meas.outcome is not None else 0.0,
-        recovered_norm=None,
-        gate_depth=depth,
-        result=None,
-        final_state=meas.post_state,
-    )
+    weight = meas.branch_weight if meas.outcome is not None else 0.0
+    return PipelineReport(outcome=meas.outcome, branch_weight=weight, recovered_norm=None,
+                          gate_depth=depth, result=None, final_state=meas.post_state)
 
 
-def _decoded_block(
-    meas: MeasureResult,
-    payload: Sequence[str],
-    crop: tuple[int, ...],
-    known_scale: float,
-    phase_fix: complex = 1.0,
-) -> DecodedResult:
-    """Crop, phase-correct and rescale the payload block of a measured state."""
-    block, _, off = extract_payload(meas.post_state, payload)
+def _success(meas: MeasureResult, depth: int, recovered: float, result) -> PipelineReport:
+    return PipelineReport(outcome=1, branch_weight=meas.branch_weight, recovered_norm=recovered,
+                          gate_depth=depth, result=result, final_state=meas.post_state)
+
+
+def _off_sector(block: np.ndarray) -> float:
+    """Mass outside a measured payload block, as :func:`extract_payload` reports it."""
+    return float(max(0.0, 1.0 - _payload_mass(block)))
+
+
+def _decoded_block(block: np.ndarray, crop: tuple[int, ...], known_scale: float,
+                   phase_fix: complex = 1.0) -> DecodedResult:
+    """Crop, phase-correct and rescale a measured payload block."""
     window = block[tuple(slice(0, c) for c in crop)] / phase_fix
     keep = float(np.sum(np.abs(window) ** 2))
-    residual = float(max(0.0, 1.0 - keep)) + off
+    residual = float(max(0.0, 1.0 - keep)) + _off_sector(block)
     direction = window / np.sqrt(keep)
     return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
                          residual=residual)
 
 
-def _phase_at(meas: MeasureResult, assignments: Mapping[str, int]) -> complex:
+def _decoded_rows(block: np.ndarray, rows: int, known_scale: float, off: float) -> DecodedResult:
+    """First ``rows`` entries of a measured vector, scaled; all-zero tolerated."""
+    window = block[:rows]
+    nrm = float(np.linalg.norm(window))
+    direction = window / nrm if nrm else np.zeros_like(window)
+    residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + off
+    return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
+                         residual=residual)
+
+
+def _phase(block: np.ndarray) -> complex:
     """Unit-modulus amplitude of a one-point labeled branch."""
-    amp = complex(meas.post_state.amplitudes[meas.post_state.layout.index_of(assignments)])
+    amp = complex(block[()])
     return amp / abs(amp)
-
-
-def _unit_rows(vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalize, tolerating an all-zero input (degenerate pipelines)."""
-    nrm = float(np.linalg.norm(vector))
-    if nrm == 0.0:
-        return np.zeros_like(vector), 0.0
-    return vector / nrm, nrm
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +288,8 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
 
     recovered = float(np.sqrt(meas.branch_weight * (1 << n_sum)))
     block, _, off = extract_payload(meas.post_state, ("R",))
-    direction, _ = _unit_rows(block[: encoded.rows])
-    known_scale = encoded.scale * recovered
-    residual = float(max(0.0, 1.0 - np.sum(np.abs(block[: encoded.rows]) ** 2))) + off
-    result = DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
-                           residual=residual)
-    return PipelineReport(
-        outcome=1,
-        branch_weight=meas.branch_weight,
-        recovered_norm=recovered,
-        gate_depth=depth,
-        result=result,
-        final_state=meas.post_state,
-    )
+    result = _decoded_rows(block, encoded.rows, encoded.scale * recovered, off)
+    return _success(meas, depth, recovered, result)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +339,12 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
+def _matrix(a) -> np.ndarray:
+    return np.atleast_2d(np.asarray(a, dtype=np.complex128))
+
+
 def _square_matrix(a) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    m = _matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -318,12 +361,54 @@ def _pad2(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _run_prepared(
-    labeled: LabeledState, mode: str, seed: int
-) -> tuple[MeasureResult, int]:
-    depth = 1  # this stage applies a single labeling CNOT
-    meas = _label_and_measure(labeled.state, labeled.label_ancilla, mode, seed)
-    return meas, depth
+def _scale_divisor(scale_exponent: float) -> float:
+    """2^(scale_exponent/2); :class:`PreparationError` where float64 cannot hold it."""
+    try:
+        divisor = 2.0 ** (scale_exponent / 2.0)
+    except OverflowError:
+        divisor = math.inf
+    if not 0.0 < divisor < math.inf:
+        raise PreparationError(f"scale 2^({scale_exponent}/2) is not representable in float64")
+    return divisor
+
+
+def _closed_form_stage(
+    registers: Sequence[tuple[str, int]],
+    fixed: Mapping[str, int],
+    coeffs,
+    mode: str,
+    seed: int,
+    recover: Callable[[float], float],
+    decode: Callable[[np.ndarray, float], DecodedResult | complex],
+) -> PipelineReport:
+    """Prepare a closed-form labeled branch and run the final stage on it.
+
+    ``registers`` precede the label; on the labeled branch those in ``fixed``
+    hold that value and the rest (the payload) carry ``coeffs``, one axis
+    each.  Success reports ``recover(sqrt(weight))`` and ``decode(block,
+    recovered)`` for the post-measurement payload ``block``, and builds only
+    the labeled post-state: the branch the CNOT copied onto the flag (flat
+    index ``2 * i + 1``).  Only "not-measured" and a failed sampled draw,
+    whose final state holds the garbage, build the full state.
+    """
+    layout = RegisterLayout([*registers, (LABEL, 1)])
+    payload = tuple(name for name, _ in registers if name not in fixed)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    # The garbage is scaled by sqrt(1 - total), and pinned outcome-0 states
+    # depend on its bits: Python's abs for a single point (np.abs of a
+    # complex can differ in the last bit), numpy's sum over an array.
+    total = abs(complex(coeffs)) ** 2 if coeffs.ndim == 0 else float(np.sum(np.abs(coeffs) ** 2))
+    labeled = prepare_labeled_state(_CoefficientBlock(layout, payload, coeffs, fixed), layout,
+                                    LABEL, 1.0 - total, stream(seed, 0), payload_registers=payload)
+    flagged = 2 * labeled.positions + 1
+    rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
+    meas = extract_labeled_branch(layout.extended(FLAG), flagged, labeled.coefficients,
+                                  (LABEL, 0), (FLAG, 0), rng)
+    if meas is None:
+        return _failure(_label_and_measure(labeled.state, LABEL, mode, seed), _STAGE_DEPTH)
+    recovered = float(recover(np.sqrt(meas.branch_weight)))
+    block = meas.post_state.amplitudes[flagged].reshape(coeffs.shape)
+    return _success(meas, _STAGE_DEPTH, recovered, decode(block, recovered))
 
 
 def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -339,31 +424,16 @@ def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> Pi
     if v1.size != v2.size:
         raise ValueError(f"length mismatch: {v1.size} vs {v2.size}")
     n = _reg_width(v1.size)
-    v1 = _pad2(v1, (1 << n,))
-    v2 = _pad2(v2, (1 << n,))
-    v1, s1 = _normalized(v1)
-    v2, s2 = _normalized(v2)
+    v1, s1 = _normalized(_pad2(v1, (1 << n,)))
+    v2, s2 = _normalized(_pad2(v2, (1 << n,)))
     if s1 == 0.0 or s2 == 0.0:
         raise ValueError("cannot take the inner product of a zero vector")
 
-    ip = linalg.bilinear(v2, v1)
     factor = 2.0 ** (1.5 * n)
-    coeff = ip / factor
-    layout = RegisterLayout([("v1", n), ("v2", n), ("aux", 1), ("mark", 1), (LABEL, 1)])
-    labeled = prepare_labeled_state(
-        {(0, 0, 0, 1): coeff}, layout, LABEL,
-        garbage_weight=1.0 - abs(coeff) ** 2, rng=stream(seed, 0),
-        payload_registers=(),
-    )
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    phase = _phase_at(meas, {"v1": 0, "v2": 0, "aux": 0, "mark": 1, LABEL: 1, FLAG: 1})
-    recovered = float(np.sqrt(meas.branch_weight) * factor)
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=phase, final_state=meas.post_state)
+    return _closed_form_stage(
+        [("v1", n), ("v2", n), ("aux", 1), ("mark", 1)], {"v1": 0, "v2": 0, "aux": 0, "mark": 1},
+        linalg.bilinear(v2, v1) / factor, mode, seed,
+        recover=lambda root: root * factor, decode=lambda block, _: _phase(block))
 
 
 def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
@@ -376,8 +446,7 @@ def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
     branch weight.  a2 = -a1 leaves no labeled branch ("not-measured").
     """
     _check_mode(mode)
-    m1 = np.atleast_2d(np.asarray(a1, dtype=np.complex128))
-    m2 = np.atleast_2d(np.asarray(a2, dtype=np.complex128))
+    m1, m2 = _matrix(a1), _matrix(a2)
     if m1.shape != m2.shape:
         raise ValueError(f"shape mismatch: {m1.shape} vs {m2.shape}")
     rows, cols = m1.shape
@@ -386,30 +455,13 @@ def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
         raise ValueError("cannot add two all-zero matrices")
     wr, wc = _reg_width(rows), _reg_width(cols)
     summed = _pad2((m1 + m2) / joint, (1 << wr, 1 << wc))
-    coeffs = (prep_scale / 2.0) * summed
 
-    layout = RegisterLayout([
-        ("row", wr), ("col", wc), ("aux1", 1),
-        ("row2", wr), ("col2", wc), ("aux2", 1),
-        ("mark", 1), (LABEL, 1),
-    ])
-    payload = {
-        (j, l, 0, 0, 0, 0, 1): coeffs[j, l]
-        for j in range(1 << wr) for l in range(1 << wc)
-        if coeffs[j, l] != 0
-    }
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    labeled = prepare_labeled_state(payload, layout, LABEL, 1.0 - total,
-                                    stream(seed, 0), payload_registers=("row", "col"))
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    recovered = float(2.0 * np.sqrt(meas.branch_weight) / prep_scale)
-    result = _decoded_block(meas, ("row", "col"), (rows, cols), joint * recovered)
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=result, final_state=meas.post_state)
+    return _closed_form_stage(
+        [("row", wr), ("col", wc), ("aux1", 1), ("row2", wr), ("col2", wc), ("aux2", 1),
+         ("mark", 1)], {"aux1": 0, "row2": 0, "col2": 0, "aux2": 0, "mark": 1},
+        (prep_scale / 2.0) * summed, mode, seed,
+        recover=lambda root: 2.0 * root / prep_scale,
+        decode=lambda block, recovered: _decoded_block(block, (rows, cols), joint * recovered))
 
 
 def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
@@ -421,8 +473,7 @@ def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
     (e.g. nilpotent factors) leaves no labeled branch.
     """
     _check_mode(mode)
-    m1 = np.atleast_2d(np.asarray(a1, dtype=np.complex128))
-    m2 = np.atleast_2d(np.asarray(a2, dtype=np.complex128))
+    m1, m2 = _matrix(a1), _matrix(a2)
     if m1.shape[1] != m2.shape[0]:
         raise ValueError(f"incompatible shapes for product: {m1.shape} and {m2.shape}")
     n_rows, n_cols = m1.shape[0], m2.shape[1]
@@ -434,29 +485,13 @@ def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
     wr, wc = _reg_width(n_rows), _reg_width(n_cols)
     factor = 2.0 ** (1.5 * k)
     product = _pad2(linalg.mul(m1n, m2n), (1 << wr, 1 << wc))
-    coeffs = prep_scale * product / factor
 
-    layout = RegisterLayout([
-        ("row", wr), ("icol", k), ("irow", k), ("col", wc),
-        ("aux", 1), ("mark", 1), (LABEL, 1),
-    ])
-    payload = {
-        (j, 0, 0, l, 0, 1): coeffs[j, l]
-        for j in range(1 << wr) for l in range(1 << wc)
-        if coeffs[j, l] != 0
-    }
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    labeled = prepare_labeled_state(payload, layout, LABEL, 1.0 - total,
-                                    stream(seed, 0), payload_registers=("row", "col"))
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    recovered = float(np.sqrt(meas.branch_weight) * factor / prep_scale)
-    result = _decoded_block(meas, ("row", "col"), (n_rows, n_cols), s1 * s2 * recovered)
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=result, final_state=meas.post_state)
+    return _closed_form_stage(
+        [("row", wr), ("icol", k), ("irow", k), ("col", wc), ("aux", 1), ("mark", 1)],
+        {"icol": 0, "irow": 0, "aux": 0, "mark": 1}, prep_scale * product / factor, mode, seed,
+        recover=lambda root: root * factor / prep_scale,
+        decode=lambda block, recovered: _decoded_block(block, (n_rows, n_cols),
+                                                       s1 * s2 * recovered))
 
 
 def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
@@ -468,32 +503,28 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
     the padded dimension and must stay fixed when comparing rescaled inputs
     (the branch weight then scales as c^(2N) under a -> c*a while the phase
     does not move).  The post-measurement state retains no trace of |det|.
+    Raises :class:`PreparationError` where float64 cannot hold the branch.
     """
     _check_mode(mode)
     m = _square_matrix(a)
-    n_dim = m.shape[0]
     if scale_exponent is None:
-        scale_exponent = (1 << _reg_width(n_dim)) ** 2
+        scale_exponent = (1 << _reg_width(m.shape[0])) ** 2
     d = linalg.det_lu(m)
-    coeff = d / 2.0 ** (scale_exponent / 2.0)
+    divisor = _scale_divisor(scale_exponent)
+    coeff = d / divisor
     if abs(coeff) > 1.0:
         raise PreparationError(
             f"labeled coefficient magnitude {abs(coeff):.3e} exceeds 1; "
             f"pass a larger scale_exponent"
         )
-    layout = RegisterLayout([("sys", 1), ("aux", 1), (LABEL, 1)])
-    labeled = prepare_labeled_state({(0, 0): coeff}, layout, LABEL,
-                                    1.0 - abs(coeff) ** 2, stream(seed, 0),
-                                    payload_registers=())
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    phase = _phase_at(meas, {"sys": 0, "aux": 0, LABEL: 1, FLAG: 1})
-    recovered = float(np.sqrt(meas.branch_weight) * 2.0 ** (scale_exponent / 2.0))
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=phase, final_state=meas.post_state)
+    if d != 0 and abs(coeff) ** 2 == 0.0:
+        raise PreparationError(
+            f"labeled weight |det(a) / 2^({scale_exponent}/2)|^2 underflows float64 "
+            f"(det {d:.3e}); pass a smaller scale_exponent"
+        )
+    return _closed_form_stage(
+        [("sys", 1), ("aux", 1)], {"sys": 0, "aux": 0}, coeff, mode, seed,
+        recover=lambda root: root * divisor, decode=lambda block, _: _phase(block))
 
 
 def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
@@ -523,30 +554,15 @@ def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
     if scale_exponent is None:
         # smallest even headroom keeping the labeled weight in [1/4, 1)
         scale_exponent = 2.0 * (np.floor(np.log2(magnitude)) + 1.0)
-    divisor = 2.0 ** (scale_exponent / 2.0)
-    w = _reg_width(m.shape[0])
-    coeffs = _pad2(-d * inv / divisor, (1 << w, 1 << w))
+    divisor = _scale_divisor(scale_exponent)
+    n, w = m.shape[0], _reg_width(m.shape[0])
 
-    layout = RegisterLayout([("sys", 1), ("row", w), ("col", w), ("aux", 1), (LABEL, 1)])
-    payload = {
-        (0, j, i, 0): coeffs[j, i]
-        for j in range(1 << w) for i in range(1 << w)
-        if coeffs[j, i] != 0
-    }
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    labeled = prepare_labeled_state(payload, layout, LABEL, 1.0 - total,
-                                    stream(seed, 0), payload_registers=("row", "col"))
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    recovered = float(np.sqrt(meas.branch_weight) * divisor / abs(d))
-    prep_phase = -d / abs(d)
-    result = _decoded_block(meas, ("row", "col"), (m.shape[0], m.shape[0]),
-                            recovered, phase_fix=prep_phase)
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=result, final_state=meas.post_state)
+    return _closed_form_stage(
+        [("sys", 1), ("row", w), ("col", w), ("aux", 1)], {"sys": 0, "aux": 0},
+        _pad2(-d * inv / divisor, (1 << w, 1 << w)), mode, seed,
+        recover=lambda root: root * divisor / abs(d),
+        decode=lambda block, recovered: _decoded_block(block, (n, n), recovered,
+                                                       phase_fix=-d / abs(d)))
 
 
 def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -557,7 +573,7 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     An orthogonal pair (a @ b = 0) leaves no labeled branch.
     """
     _check_mode(mode)
-    m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    m = _matrix(a)
     v = _as_vector(b)
     if m.shape[1] != v.size:
         raise ValueError(f"incompatible shapes for contraction: {m.shape} and {v.shape}")
@@ -568,31 +584,13 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     k = _reg_width(v.size)
     wr = _reg_width(m.shape[0])
     factor = 2.0 ** (k / 2.0)
-    contraction = np.zeros(1 << wr, dtype=np.complex128)
-    contraction[: m.shape[0]] = linalg.contract(mn, vn)
-    coeffs = contraction / factor
+    contraction = _pad2(linalg.contract(mn, vn), (1 << wr,))
 
-    layout = RegisterLayout([("row", wr), ("col", k), ("rhs", k), ("aux", 1), (LABEL, 1)])
-    payload = {
-        (j, 0, 0, 0): coeffs[j] for j in range(1 << wr) if coeffs[j] != 0
-    }
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    labeled = prepare_labeled_state(payload, layout, LABEL, 1.0 - total,
-                                    stream(seed, 0), payload_registers=("row",))
-    meas, depth = _run_prepared(labeled, mode, seed)
-    if meas.outcome != 1:
-        return _failure(meas, depth)
-
-    recovered = float(np.sqrt(meas.branch_weight) * factor)
-    block, _, off = extract_payload(meas.post_state, ("row",))
-    direction, _ = _unit_rows(block[: m.shape[0]])
-    known_scale = sa * sb * recovered
-    residual = float(max(0.0, 1.0 - np.sum(np.abs(block[: m.shape[0]]) ** 2))) + off
-    result = DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
-                           residual=residual)
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth,
-                          result=result, final_state=meas.post_state)
+    return _closed_form_stage(
+        [("row", wr), ("col", k), ("rhs", k), ("aux", 1)], {"col": 0, "rhs": 0, "aux": 0},
+        contraction / factor, mode, seed, recover=lambda root: root * factor,
+        decode=lambda block, recovered: _decoded_rows(block, m.shape[0], sa * sb * recovered,
+                                                      _off_sector(block)))
 
 
 # ---------------------------------------------------------------------------

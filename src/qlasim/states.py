@@ -103,15 +103,25 @@ class RegisterLayout:
 
     def index_of(self, assignments: Mapping[str, int]) -> int:
         """Global basis index of a full assignment."""
-        index = 0
+        return int(self.indices_of(assignments))
+
+    def indices_of(self, assignments: Mapping[str, "int | np.ndarray"]) -> np.ndarray:
+        """:meth:`index_of` over arrays: one value or integer array per register.
+
+        The arrays broadcast together, and so does the result.
+        """
+        index = np.zeros((), dtype=np.int64)
         for name, width in self.registers:
             if name not in assignments:
                 raise ValueError(f"missing assignment for register {name!r}")
-            value = int(assignments[name])
-            if not 0 <= value < (1 << width):
-                raise ValueError(
-                    f"value {value} out of range for register {name!r} (width {width})"
-                )
+            try:
+                value = np.asarray(assignments[name], dtype=np.int64)
+                in_range = not np.any((value < 0) | (value >= 1 << width))
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"value {assignments[name]} out of range for register "
+                                 f"{name!r} (width {width})")
             index = (index << width) | value
         extra = set(assignments) - set(self.names)
         if extra:
@@ -151,7 +161,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, layout needs {self.layout.dim}"
             )
         nrm2 = float(np.vdot(amps, amps).real)
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:  # also refuses NaN
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {nrm2!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

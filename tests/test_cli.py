@@ -95,6 +95,14 @@ def test_singular_inverse_exits_3(tmp_path, capsys):
     assert "numerical failure" in out
 
 
+def test_det_phase_unrepresentable_scale_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(55)
+    path = _write(tmp_path, "big.json", rng.standard_normal((64, 64)))
+    code, out = _run(capsys, ["det-phase", path])
+    assert code == 3
+    assert "numerical failure" in out
+
+
 def test_rowsum_success_json_fields(tmp_path, capsys):
     path = _write(tmp_path, "m.json", [[1.0, 2.0], [3.0, 4.0]])
     code, out = _run(capsys, ["rowsum", path, "--output", "json"])
@@ -271,3 +279,205 @@ def test_demo_02_output_is_pinned(capsys):
     demo = Path(__file__).resolve().parents[1] / "demos" / "02_measurement_success_scaling.py"
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out == DEMO_02_OUTPUT
+
+
+END_STAGE_MATRICES = {
+    "add_a": [[1 + 2j, 0.5], [-1, 3j], [0.25, -2]],
+    "add_b": [[0.25, -1j], [2, 1], [0.5j, 0.75]],
+    "neg_add_a": [[-1 - 2j, -0.5], [1, -3j], [-0.25, 2]],
+    "mul_a": [[1 + 1j, 0.5], [-1, 2j], [0.25, 1]],
+    "mul_b": [[0.5, -1j, 2], [1, 0.25, -0.5j]],
+    "nil": [[0.0, 1.0], [0.0, 0.0]],
+    "inv_a": [[2, 1j, 0], [0.5, 3, -1], [0, 1 - 1j, 1.5]],
+    "solve_a": [[1, 2j, -0.5], [0.25, 1, 1j], [2, 0, 1 - 1j]],
+    "solve_b": [[1], [-1j], [0.5]],
+    "rows": [[1.0, 0.0], [1.0, 0.0]],
+    "e2": [[0.0], [1.0]],
+    "det_a": [[1 + 1j, 0.5], [0.5j, -1]],
+    "psi1": [[1, 1j, -0.5]],
+    "psi2": [[0.3, 2, 1 - 1j]],
+}
+
+END_STAGE_INPUTS = {
+    ("add", "not-measured"): ("add_a", "neg_add_a"),
+    ("mul", "not-measured"): ("nil", "nil"),
+    ("solve", "not-measured"): ("rows", "e2"),
+    "add": ("add_a", "add_b"),
+    "mul": ("mul_a", "mul_b"),
+    "inverse": ("inv_a",),
+    "solve": ("solve_a", "solve_b"),
+    "det-phase": ("det_a",),
+    "inner": ("psi1", "psi2"),
+}
+
+# Exact (exit code, --output json bytes) of the closed-form end stages: ideal
+# success, a sampled seed drawing outcome 0 and one drawing outcome 1, and
+# inputs that leave no labeled branch.  How the stages build their states may
+# change; these may not.
+GOLDEN_END_STAGES = {
+    ("add", "ideal", 0): (0, (
+        '{"command":"add","outcome":1,"branch_weight":0.18794749403341288,"recovered_no'
+        'rm":0.86705823110887514,"gate_depth":1,"result":{"rows":3,"cols":2,"data":[[1.'
+        '2500000000000002,2.0000000000000004],[0.50000000000000011,-1.0000000000000002]'
+        ',[1.0000000000000002,0],[1.0000000000000002,3],[0.25000000000000006,0.50000000'
+        '000000011],[-1.2500000000000002,0]]},"residual":4.4408920985006262e-16}'
+        '\n')),
+    ("add", "sampled", 0): (1, (
+        '{"command":"add","outcome":0,"branch_weight":0.81205250596658707,"recovered_no'
+        'rm":null,"gate_depth":1,"result":null,"message":"sampled measurement failed (o'
+        'utcome 0)"}'
+        '\n')),
+    ("add", "sampled", 3): (0, (
+        '{"command":"add","outcome":1,"branch_weight":0.18794749403341288,"recovered_no'
+        'rm":0.86705823110887514,"gate_depth":1,"result":{"rows":3,"cols":2,"data":[[1.'
+        '2500000000000002,2.0000000000000004],[0.50000000000000011,-1.0000000000000002]'
+        ',[1.0000000000000002,0],[1.0000000000000002,3],[0.25000000000000006,0.50000000'
+        '000000011],[-1.2500000000000002,0]]},"residual":4.4408920985006262e-16}'
+        '\n')),
+    ("mul", "ideal", 0): (0, (
+        '{"command":"mul","outcome":1,"branch_weight":0.045757250268528477,"recovered_n'
+        'orm":0.60502727388790323,"gate_depth":1,"result":{"rows":3,"cols":3,"data":[[1'
+        '.0000000000000002,0.50000000000000011],[1.1250000000000002,-1.0000000000000002'
+        '],[2.0000000000000004,1.7500000000000002],[-0.50000000000000011,2.000000000000'
+        '0004],[0,1.5000000000000002],[-1.0000000000000002,0],[1.125,0],[0.250000000000'
+        '00006,-0.25000000000000006],[0.50000000000000011,-0.50000000000000011]]},"resi'
+        'dual":1.1102230246251565e-16}'
+        '\n')),
+    ("mul", "sampled", 0): (1, (
+        '{"command":"mul","outcome":0,"branch_weight":0.9542427497314715,"recovered_nor'
+        'm":null,"gate_depth":1,"result":null,"message":"sampled measurement failed (ou'
+        'tcome 0)"}'
+        '\n')),
+    ("mul", "sampled", 73): (0, (
+        '{"command":"mul","outcome":1,"branch_weight":0.045757250268528477,"recovered_n'
+        'orm":0.60502727388790323,"gate_depth":1,"result":{"rows":3,"cols":3,"data":[[1'
+        '.0000000000000002,0.50000000000000011],[1.1250000000000002,-1.0000000000000002'
+        '],[2.0000000000000004,1.7500000000000002],[-0.50000000000000011,2.000000000000'
+        '0004],[0,1.5000000000000002],[-1.0000000000000002,0],[1.125,0],[0.250000000000'
+        '00006,-0.25000000000000006],[0.50000000000000011,-0.50000000000000011]]},"resi'
+        'dual":1.1102230246251565e-16}'
+        '\n')),
+    ("inverse", "ideal", 0): (0, (
+        '{"command":"inverse","outcome":1,"branch_weight":0.362548828125,"recovered_nor'
+        'm":0.84966177605553106,"gate_depth":1,"result":{"rows":3,"cols":3,"data":[[0.4'
+        '9197860962566842,0.032085561497326213],[0.0320855614973262,-0.1283422459893048'
+        '3],[0.021390374331550801,-0.085561497326203204],[-0.064171122994652413,-0.0160'
+        '427807486631],[0.25668449197860965,0.064171122994652399],[0.17112299465240641,'
+        '0.042780748663101602],[0.053475935828876997,-0.0320855614973262],[-0.213903743'
+        '31550799,0.1283422459893048],[0.52406417112299464,0.085561497326203217]]},"res'
+        'idual":0}'
+        '\n')),
+    ("inverse", "sampled", 0): (1, (
+        '{"command":"inverse","outcome":0,"branch_weight":0.637451171875,"recovered_nor'
+        'm":null,"gate_depth":1,"result":null,"message":"sampled measurement failed (ou'
+        'tcome 0)"}'
+        '\n')),
+    ("inverse", "sampled", 1): (0, (
+        '{"command":"inverse","outcome":1,"branch_weight":0.36254882812499994,"recovere'
+        'd_norm":0.84966177605553106,"gate_depth":1,"result":{"rows":3,"cols":3,"data":'
+        '[[0.49197860962566842,0.032085561497326213],[0.0320855614973262,-0.12834224598'
+        '930483],[0.021390374331550801,-0.085561497326203204],[-0.064171122994652413,-0'
+        '.0160427807486631],[0.25668449197860965,0.064171122994652399],[0.1711229946524'
+        '0641,0.042780748663101602],[0.053475935828876997,-0.0320855614973262],[-0.2139'
+        '0374331550799,0.1283422459893048],[0.52406417112299464,0.085561497326203217]]}'
+        ',"residual":0}'
+        '\n')),
+    ("solve", "ideal", 0): (0, (
+        '{"command":"solve","outcome":1,"branch_weight":0.11997913406364108,"recovered_'
+        'norm":0.69276008563900704,"gate_depth":1,"result":{"rows":3,"cols":1,"data":[['
+        '2.75,0],[0.24999999999999997,-0.49999999999999994],[2.4999999999999996,-0.4999'
+        '9999999999994]]},"residual":0}'
+        '\n')),
+    ("solve", "sampled", 0): (1, (
+        '{"command":"solve","outcome":0,"branch_weight":0.88002086593635886,"recovered_'
+        'norm":null,"gate_depth":1,"result":null,"message":"sampled measurement failed '
+        '(outcome 0)"}'
+        '\n')),
+    ("solve", "sampled", 3): (0, (
+        '{"command":"solve","outcome":1,"branch_weight":0.11997913406364108,"recovered_'
+        'norm":0.69276008563900704,"gate_depth":1,"result":{"rows":3,"cols":1,"data":[['
+        '2.75,0],[0.24999999999999997,-0.49999999999999994],[2.4999999999999996,-0.4999'
+        '9999999999994]]},"residual":0}'
+        '\n')),
+    ("det-phase", "ideal", 0): (0, (
+        '{"command":"det-phase","outcome":1,"branch_weight":0.16015625,"recovered_norm"'
+        ':1.6007810593582121,"gate_depth":1,"result":[-0.62469504755442429,-0.780868809'
+        '44303039]}'
+        '\n')),
+    ("det-phase", "sampled", 0): (1, (
+        '{"command":"det-phase","outcome":0,"branch_weight":0.83984375,"recovered_norm"'
+        ':null,"gate_depth":1,"result":null,"message":"sampled measurement failed (outc'
+        'ome 0)"}'
+        '\n')),
+    ("det-phase", "sampled", 3): (0, (
+        '{"command":"det-phase","outcome":1,"branch_weight":0.16015625,"recovered_norm"'
+        ':1.6007810593582121,"gate_depth":1,"result":[-0.62469504755442429,-0.780868809'
+        '44303039]}'
+        '\n')),
+    ("inner", "ideal", 0): (0, (
+        '{"command":"inner","outcome":1,"branch_weight":0.0071725050173326067,"recovere'
+        'd_norm":0.67752514426350763,"gate_depth":1,"result":[-0.079745222282890008,0.9'
+        '9681527853612495]}'
+        '\n')),
+    ("inner", "sampled", 0): (1, (
+        '{"command":"inner","outcome":0,"branch_weight":0.99282749498266742,"recovered_'
+        'norm":null,"gate_depth":1,"result":null,"message":"sampled measurement failed '
+        '(outcome 0)"}'
+        '\n')),
+    ("inner", "sampled", 73): (0, (
+        '{"command":"inner","outcome":1,"branch_weight":0.0071725050173326067,"recovere'
+        'd_norm":0.67752514426350763,"gate_depth":1,"result":[-0.079745222282890008,0.9'
+        '9681527853612495]}'
+        '\n')),
+    ("add", "not-measured", 0): (1, (
+        '{"command":"add","outcome":"not-measured","branch_weight":0,"recovered_norm":n'
+        'ull,"gate_depth":1,"result":null,"message":"labeled branch empty; state unchan'
+        'ged"}'
+        '\n')),
+    ("mul", "not-measured", 0): (1, (
+        '{"command":"mul","outcome":"not-measured","branch_weight":0,"recovered_norm":n'
+        'ull,"gate_depth":1,"result":null,"message":"labeled branch empty; state unchan'
+        'ged"}'
+        '\n')),
+    ("solve", "not-measured", 0): (1, (
+        '{"command":"solve","outcome":"not-measured","branch_weight":0,"recovered_norm"'
+        ':null,"gate_depth":1,"result":null,"message":"labeled branch empty; state unch'
+        'anged"}'
+        '\n')),
+}
+
+
+@pytest.mark.parametrize("command, mode, seed", sorted(GOLDEN_END_STAGES))
+def test_end_stage_output_is_pinned(tmp_path, capsys, command, mode, seed):
+    names = END_STAGE_INPUTS.get((command, mode), END_STAGE_INPUTS[command])
+    files = [_write(tmp_path, f"{name}.json", np.asarray(END_STAGE_MATRICES[name], dtype=complex))
+             for name in names]
+    argv = [command, *files, "--seed", str(seed), "--output", "json"]
+    if mode == "sampled":
+        argv += ["--mode", "sampled"]
+    code, out = _run(capsys, argv)
+    rc, chunks = GOLDEN_END_STAGES[command, mode, seed]
+    assert (code, out) == (rc, "".join(chunks))
+
+
+DEMO_04_OUTPUT = """\
+random 4x4 complex inputs
+
+addition           max error vs numpy: 2.48e-16
+multiplication     max error vs numpy: 1.35e-15
+contraction a@v    max error vs numpy: 8.01e-16
+inversion          max error vs numpy: 3.55e-16
+                   residual |result @ a - I| = 4.52e-16
+determinant phase  max error vs numpy: 0.00e+00
+                   |det| recovered from branch weight: 16.880525 vs numpy 16.880525
+inner phase        max error vs numpy: 1.11e-16
+
+degenerate inputs leave the state untouched instead of failing:
+a + (-a): outcome = None, result = None
+"""
+
+
+def test_demo_04_output_is_pinned(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_matrix_algebra_end_stages.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_04_OUTPUT

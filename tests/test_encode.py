@@ -23,6 +23,36 @@ def test_encode_rc_scalar():
     assert enc.state.layout.names == ("R", "C")
 
 
+@pytest.mark.parametrize("value", [1e-300, -1e-160, 1.4e154, 1e300, 5e-324])
+def test_encode_entry_whose_square_leaves_the_normal_range(value):
+    a = np.array([[value, 0.0, 0.0]])
+    for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
+        enc = encode(a)
+        assert enc.scale == abs(value)
+        assert np.array_equal(decode(enc).matrix, a)
+
+
+def test_encode_sum_of_squares_overflow():
+    a = np.full((2, 3), 1e154) * (1 + 1j)
+    for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
+        enc = encode(a)
+        assert enc.scale == pytest.approx(np.sqrt(12) * 1e154, rel=1e-15)
+        np.testing.assert_allclose(decode(enc).matrix, a, rtol=1e-15)
+
+
+def test_encode_norm_past_float64_range_raises():
+    with pytest.raises(ValueError, match="exceeds the float64 range"):
+        encode_rc([[1.7e308, 1.7e308]])
+
+
+def test_encode_scale_is_the_plain_norm_in_the_normal_range():
+    rng = np.random.default_rng(56)
+    for exponent in (-150, -1, 0, 3, 150):
+        a = _random_matrix(rng, 3, 5) * 10.0 ** exponent
+        assert encode_rc(a).scale == float(np.linalg.norm(a))
+        assert encode_rcm(a).scale == float(np.linalg.norm(a))
+
+
 def test_encode_rc_known_amplitudes():
     enc = encode_rc([[1.0, 1j], [0.0, 0.0]])
     assert enc.scale == pytest.approx(np.sqrt(2), abs=1e-15)

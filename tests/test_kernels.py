@@ -23,7 +23,8 @@ from qlasim import (
     postselect,
     stream,
 )
-from qlasim.gates import PAULI, _H, _apply_1q
+from qlasim.gates import PAULI, _H, _apply_1q, _flip_where
+from qlasim.measure import extract_labeled_branch
 
 GATES = {"H": _H, **PAULI}
 
@@ -153,3 +154,67 @@ def test_measure_sampled_matches_copy_and_zero_reference():
             assert res.outcome == outcome
             assert res.branch_weight == weight
             assert np.array_equal(res.post_state.amplitudes, amps / np.sqrt(weight))
+
+
+def test_labeled_branch_alone_matches_full_state_extraction():
+    # The gate-built states hold their labeled branch at label = flag = 1.
+    for state in list(_labeled_states())[:5]:
+        layout = state.layout
+        label = layout.qubit_position(("label", 0))
+        labeled = state.amplitudes.reshape(1 << label, 2, -1)[:, 1].reshape(-1)
+        positions = np.arange(layout.dim).reshape(1 << label, 2, -1)[:, 1].reshape(-1)
+        keep = labeled != 0
+        args = (layout, positions[keep], labeled[keep], ("label", 0), ("flag", 0))
+
+        got = extract_labeled_branch(*args)
+        want = controlled_measure(state, ("label", 0), ("flag", 0))
+        assert (got.outcome, got.branch_weight) == (want.outcome, want.branch_weight)
+        assert got.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
+
+        for seed in range(16):
+            got = extract_labeled_branch(*args, rng=stream(seed, 1))
+            want = measure_sampled(state, ("flag", 0), stream(seed, 1))
+            if want.outcome == 0:
+                assert got is None
+                continue
+            assert (got.outcome, got.branch_weight) == (want.outcome, want.branch_weight)
+            assert got.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
+
+
+def _flip_reference(amps, n, controls, target):
+    a = amps.reshape([2] * n)
+    new = a.copy()
+    sel = [controls.get(position, slice(None)) for position in range(n)]
+    s0, s1 = sel.copy(), sel.copy()
+    s0[target], s1[target] = 0, 1
+    new[tuple(s0)] = a[tuple(s1)]
+    new[tuple(s1)] = a[tuple(s0)]
+    return new.reshape(-1)
+
+
+def test_flips_match_copy_and_swap_reference():
+    # A flip permutes amplitudes, so the outputs agree byte for byte.
+    for amps, n in _inputs():
+        if n < 2 or n > 9:
+            continue
+        layout = RegisterLayout([("Q", n)])
+        state = PureState(layout, amps)
+        for control in range(n):
+            for target in range(n):
+                if target == control:
+                    continue
+                for bit in (0, 1):
+                    want = _flip_reference(amps, n, {control: bit}, target)
+                    if bit == 1:
+                        got = cnot(state, ("Q", control), ("Q", target)).amplitudes
+                    else:
+                        got = _flip_where(state, {control: 0}, target).amplitudes
+                    assert got.tobytes() == want.tobytes()
+        if n < 3:
+            continue
+        split = RegisterLayout([("A", 1), ("C", n - 2), ("T", 1)])
+        state = PureState(split, amps)
+        controls = dict.fromkeys(split.axes("C"), 0)
+        want = _flip_reference(amps, n, controls, n - 1)
+        got = controlled_on_zero_flip(state, "C", "T").amplitudes
+        assert got.tobytes() == want.tobytes()

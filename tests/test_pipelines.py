@@ -30,9 +30,10 @@ from qlasim import (
     row_sums,
     stream,
 )
+from qlasim.encode import extract_payload
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
-from qlasim.pipelines import FLAG, LABEL, _row_sum_labeled
+from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled
 from qlasim.states import add_ancilla
 
 ATOL = 1e-10
@@ -352,6 +353,21 @@ def test_det_phase_exponent_headroom():
         determinant_phase(100.0 * np.eye(2), scale_exponent=2)
 
 
+def test_det_phase_weight_underflow_raises():
+    # det = 1e-200 is nonzero, but |det / 2^2|^2 underflows to 0.0: the
+    # labeled branch exists and cannot be represented, so it is not "empty".
+    with pytest.raises(PreparationError, match="underflows"):
+        determinant_phase(1e-100 * np.eye(2))
+
+
+@pytest.mark.parametrize("n, exponent", [(64, None), (2, 4096), (2, -5000)])
+def test_det_phase_unrepresentable_scale_raises(n, exponent):
+    # The default exponent at 64x64 is 4096, and 2^2048 overflows float64;
+    # 2^-2500 is 0.0.
+    with pytest.raises(PreparationError, match="scale"):
+        determinant_phase(np.eye(n), scale_exponent=exponent)
+
+
 # --- matrix inversion ------------------------------------------------------------------
 
 def test_inverse_identity():
@@ -567,3 +583,139 @@ def test_pipelines_are_pure_given_seed():
         first.final_state.amplitudes, second.final_state.amplitudes
     )
     np.testing.assert_array_equal(first.result.matrix, second.result.matrix)
+
+
+# --- lazy garbage: the same final states as the eager build --------------------
+
+def _eager_final_stage(payload, layout, garbage_weight, mode, seed, payload_registers):
+    """The end-stage final stage with the garbage branch built up front."""
+    labeled = prepare_labeled_state(payload, layout, LABEL, garbage_weight, stream(seed, 0),
+                                    payload_registers=payload_registers)
+    st = cnot(add_ancilla(labeled.state, FLAG), (LABEL, 0), (FLAG, 0))
+    if mode == "ideal":
+        return controlled_measure(st, (LABEL, 0), (FLAG, 0))
+    return measure_sampled(st, (FLAG, 0), stream(seed, 1 << 32))
+
+
+def _eager_add(a1, a2, mode, seed):
+    m1, m2 = np.atleast_2d(a1).astype(complex), np.atleast_2d(a2).astype(complex)
+    joint = float(np.sqrt(np.linalg.norm(m1) ** 2 + np.linalg.norm(m2) ** 2))
+    wr, wc = (max(1, (n - 1).bit_length()) for n in m1.shape)
+    coeffs = np.zeros((1 << wr, 1 << wc), dtype=complex)
+    coeffs[: m1.shape[0], : m1.shape[1]] = (m1 + m2) / joint / 2.0
+    layout = RegisterLayout([("row", wr), ("col", wc), ("aux1", 1), ("row2", wr),
+                             ("col2", wc), ("aux2", 1), ("mark", 1), (LABEL, 1)])
+    payload = {(j, l, 0, 0, 0, 0, 1): coeffs[j, l]
+               for j in range(1 << wr) for l in range(1 << wc) if coeffs[j, l] != 0}
+    total = float(np.sum(np.abs(coeffs) ** 2))
+    return _eager_final_stage(payload, layout, 1.0 - total, mode, seed, ("row", "col"))
+
+
+def _eager_det_phase(a, mode, seed):
+    n = max(1, (a.shape[0] - 1).bit_length())
+    coeff = det_lu(a) / 2.0 ** ((1 << n) ** 2 / 2.0)
+    layout = RegisterLayout([("sys", 1), ("aux", 1), (LABEL, 1)])
+    return _eager_final_stage({(0, 0): coeff}, layout, 1.0 - abs(coeff) ** 2, mode, seed, ())
+
+
+_ADD_A = np.array([[1 + 2j, 0.5], [-1, 3j], [0.25, -2]])
+_ADD_B = np.array([[0.25, -1j], [2, 1], [0.5j, 0.75]])
+_DET_A = np.array([[1 + 1j, 0.5], [0.5j, -1]])
+
+
+@pytest.mark.parametrize("stage, eager, inputs, mode, seed, outcome", [
+    (matrix_add, _eager_add, (_ADD_A, _ADD_B), "ideal", 0, 1),
+    (matrix_add, _eager_add, (_ADD_A, _ADD_B), "sampled", 0, 0),
+    (matrix_add, _eager_add, (_ADD_A, _ADD_B), "sampled", 3, 1),
+    (matrix_add, _eager_add, (_ADD_A, -_ADD_A), "ideal", 4, None),
+    (determinant_phase, _eager_det_phase, (_DET_A,), "ideal", 0, 1),
+    (determinant_phase, _eager_det_phase, (_DET_A,), "sampled", 0, 0),
+    (determinant_phase, _eager_det_phase, (_DET_A,), "sampled", 3, 1),
+    (determinant_phase, _eager_det_phase, (np.zeros((2, 2)),), "ideal", 5, None),
+])
+def test_final_state_equals_eager_build(stage, eager, inputs, mode, seed, outcome):
+    # Successful runs never build the garbage; runs that return it (sampled
+    # outcome 0, "not-measured") must return the eager build's exact buffer.
+    report = stage(*inputs, mode=mode, seed=seed)
+    meas = eager(*inputs, mode, seed)
+    assert report.outcome == meas.outcome == outcome
+    assert report.final_state.layout == meas.post_state.layout
+    assert np.array_equal(report.final_state.amplitudes, meas.post_state.amplitudes)
+    if outcome is not None:
+        assert report.branch_weight == meas.branch_weight
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (5, 7), (8, 8), (16, 12)])
+def test_decoded_sum_equals_eager_decode(shape):
+    # The eager path decoded through extract_payload; its residual adds the
+    # off-sector mass in extract_payload's summation order.
+    rng = np.random.default_rng(62)
+    a1, a2 = _rand(rng, *shape), _rand(rng, *shape)
+    report = matrix_add(a1, a2)
+    meas = _eager_add(a1, a2, "ideal", 0)
+    joint = float(np.sqrt(np.linalg.norm(a1) ** 2 + np.linalg.norm(a2) ** 2))
+    known_scale = joint * float(2.0 * np.sqrt(meas.branch_weight))
+    block, _, off = extract_payload(meas.post_state, ("row", "col"))
+    window = block[: shape[0], : shape[1]] / 1.0
+    keep = float(np.sum(np.abs(window) ** 2))
+    assert report.result.residual == float(max(0.0, 1.0 - keep)) + off
+    want = window / np.sqrt(keep) * known_scale
+    assert report.result.matrix.tobytes() == want.tobytes()
+
+
+def test_successful_product_allocates_little_beyond_its_final_state():
+    # The garbage sector, the flag copy, the CNOT copy and the projection
+    # each used to allocate a buffer the size of the final state.
+    rng = np.random.default_rng(60)
+    a, b = _rand(rng, 16, 16), _rand(rng, 16, 16)
+    tracemalloc.start()
+    try:
+        report = matrix_mul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == 1
+    assert peak < 2 * report.final_state.amplitudes.nbytes
+
+
+def test_prepare_labeled_state_draws_garbage_on_first_read():
+    layout = RegisterLayout([("v", 3), (LABEL, 1)])
+    rng = stream(9, 0)
+    labeled = prepare_labeled_state({(2,): 0.6}, layout, LABEL, 0.64, rng)
+    # Nothing has been drawn yet: the generator still gives stream(9, 0)'s first draw.
+    assert str(rng.bit_generator.state) == str(stream(9, 0).bit_generator.state)
+    state = labeled.state
+    assert labeled.state is state
+    eager = prepare_labeled_state({(2,): 0.6}, layout, LABEL, 0.64, stream(9, 0)).state
+    assert np.array_equal(state.amplitudes, eager.amplitudes)
+    # A caller that draws from the generator before the first read moves the garbage.
+    rng = stream(9, 0)
+    moved = prepare_labeled_state({(2,): 0.6}, layout, LABEL, 0.64, rng)
+    rng.random()
+    assert not np.array_equal(moved.state.amplitudes, eager.amplitudes)
+    assert moved.state.amplitudes[layout.index_of({"v": 2, LABEL: 1})] == 0.6
+
+
+def test_coefficient_block_is_the_payload_mapping_it_replaces():
+    from qlasim.pipelines import _CoefficientBlock
+
+    rng = np.random.default_rng(61)
+    layout = RegisterLayout([("row", 2), ("aux", 1), ("col", 1), ("mark", 1), (LABEL, 1)])
+    coeffs = _rand(rng, 4, 2) / 8
+    block = _CoefficientBlock(layout, ("row", "col"), coeffs, {"aux": 0, "mark": 1})
+    payload = {(j, 0, l, 1): coeffs[j, l] for j in range(4) for l in range(2)}
+    assert dict(block) == payload
+    assert block[(3, 0, 1, 1)] == coeffs[3, 1]
+    assert list(block.values()) == list(payload.values())
+    weight = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    via_block = prepare_labeled_state(block, layout, LABEL, weight, stream(4))
+    via_dict = prepare_labeled_state(payload, layout, LABEL, weight, stream(4))
+    assert via_block.state.amplitudes.tobytes() == via_dict.state.amplitudes.tobytes()
+
+
+def test_prepare_labeled_state_rejects_bad_keys():
+    layout = RegisterLayout([("v", 1), ("w", 1), (LABEL, 1)])
+    with pytest.raises(ValueError, match="must assign the 2 non-label registers"):
+        prepare_labeled_state({(0,): 1.0}, layout, LABEL, 0.0, stream(0))
+    with pytest.raises(ValueError, match="out of range"):
+        prepare_labeled_state({(0, 2): 1.0}, layout, LABEL, 0.0, stream(0))

@@ -108,7 +108,7 @@ def padded_shapes(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(padded_shapes(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9),
-       st.integers(-100, 100), st.booleans())
+       st.integers(-300, 300), st.booleans())
 def test_decode_inverts_encode(shape, seed, zero_share, exponent, real):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
@@ -123,10 +123,11 @@ def test_decode_inverts_encode(shape, seed, zero_share, exponent, real):
 
 
 @settings(max_examples=80, deadline=None)
-@given(padded_shapes(), st.data(), st.floats(1e-150, 1e150), st.booleans())
+@given(padded_shapes(), st.data(), st.floats(1e-300, 1e300), st.booleans())
 def test_decode_inverts_encode_exactly_for_one_real_entry(shape, data, magnitude, negative):
-    # While its square neither underflows nor overflows, the norm of one real
-    # entry is its magnitude exactly, so nothing rounds.
+    # The norm of one real entry is its magnitude exactly, so nothing rounds:
+    # while its square stays normal, sqrt(x * x) == x; outside that range
+    # the scale is taken after dividing by the largest entry.
     a = np.zeros(shape)
     i = data.draw(st.integers(0, shape[0] - 1))
     j = data.draw(st.integers(0, shape[1] - 1))

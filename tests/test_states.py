@@ -85,6 +85,30 @@ def test_index_round_trip_exhaustive():
         assert layout.index_of(assignment) == index
 
 
+def test_indices_of_matches_index_of():
+    layout = RegisterLayout([("A", 2), ("B", 1), ("C", 3)])
+    grids = np.ix_(np.arange(4), np.arange(2), np.arange(8))
+    got = layout.indices_of(dict(zip("ABC", grids)))
+    assert got.shape == (4, 2, 8)
+    for a, b, c in np.ndindex(4, 2, 8):
+        assert got[a, b, c] == layout.index_of({"A": a, "B": b, "C": c})
+    assert layout.indices_of({"A": 3, "B": 0, "C": np.array([1, 5])}).tolist() == [
+        layout.index_of({"A": 3, "B": 0, "C": 1}), layout.index_of({"A": 3, "B": 0, "C": 5})]
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ({"A": 4, "B": 0, "C": 0}, "out of range"),
+    ({"A": 0, "B": np.array([0, -1]), "C": 0}, "out of range"),
+    ({"A": 2**70, "B": 0, "C": 0}, "out of range"),
+    ({"A": 0, "B": 0}, "missing"),
+    ({"A": 0, "B": 0, "C": 0, "D": 0}, "unknown"),
+])
+def test_indices_of_rejects_bad_assignments(assignment, message):
+    layout = RegisterLayout([("A", 2), ("B", 1), ("C", 3)])
+    with pytest.raises(ValueError, match=message):
+        layout.indices_of(assignment)
+
+
 def test_add_ancilla_basis_state():
     layout = RegisterLayout([("R", 1)])
     state = add_ancilla(basis_state(layout, {"R": 1}), "A1")
@@ -141,6 +165,14 @@ def test_purestate_rejects_unnormalized():
     layout = RegisterLayout([("R", 1)])
     with pytest.raises(ValueError, match="not normalized"):
         PureState(layout, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_purestate_rejects_nonfinite_amplitudes(bad):
+    layout = RegisterLayout([("R", 1)])
+    for adopt in (False, True):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(layout, np.array([bad, 0.0], dtype=complex), _adopt=adopt)
 
 
 def test_purestate_amplitudes_frozen():
