@@ -62,22 +62,9 @@ def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
 
 
 def _flip_where(state: PureState, controls: dict[int, int], target: int) -> PureState:
-    """Flip qubit ``target`` where every qubit position in ``controls`` holds its bit.
-
-    Every output element is written once.  With one control the uncontrolled
-    half is copied and the controlled half is copied with its target axis
-    reversed (the two swapped halves in one assignment); with several, the
-    whole buffer is copied and the small controlled sector overwritten.
-    """
+    """Flip qubit ``target`` where every qubit position in ``controls`` holds its bit."""
     a = state.tensor_view()
-    new = np.empty_like(a)
-    if len(controls) == 1:
-        ((control, bit),) = controls.items()
-        other = [slice(None)] * state.n_qubits
-        other[control] = 1 - bit
-        new[tuple(other)] = a[tuple(other)]
-    else:
-        new[...] = a
+    new = a.copy()
     sector = tuple(controls.get(position, slice(None)) for position in range(state.n_qubits))
     # The integer controls drop their axes from the sector view.
     axis = target - sum(1 for position in controls if position < target)

@@ -118,37 +118,6 @@ class PipelineReport:
     final_state: PureState
 
 
-class _CoefficientBlock(Mapping):
-    """Coefficients with one axis per payload register, as a payload mapping.
-
-    The other non-label registers sit at their ``fixed`` values.  The basis
-    positions are computed in one vectorized pass and ``values()`` is the
-    coefficient array; keys are built only for a caller that iterates.
-    """
-
-    def __init__(self, layout: RegisterLayout, payload: Sequence[str], coeffs: np.ndarray,
-                 fixed: Mapping[str, int]):
-        grids = np.ix_(*(np.arange(1 << layout.width(name)) for name in payload))
-        positions = layout.indices_of({**fixed, **dict(zip(payload, grids)), LABEL: 1})
-        self.positions = np.broadcast_to(positions, coeffs.shape).reshape(-1)
-        self.coefficients = coeffs.reshape(-1)
-        self._layout = layout
-
-    def __iter__(self):
-        for position in self.positions.tolist():
-            assignment = self._layout.assignment_of(position)
-            yield tuple(value for name, value in assignment.items() if name != LABEL)
-
-    def __getitem__(self, key):
-        return dict(zip(self, self.coefficients))[key]
-
-    def __len__(self) -> int:
-        return self.coefficients.size
-
-    def values(self):
-        return self.coefficients
-
-
 def prepare_labeled_state(
     payload: Mapping[tuple[int, ...], complex],
     layout: RegisterLayout,
@@ -171,17 +140,14 @@ def prepare_labeled_state(
         raise ValueError(f"label ancilla {label_ancilla!r} must be one qubit")
     other = [nm for nm in layout.names if nm != label_ancilla]
 
-    if isinstance(payload, _CoefficientBlock):
-        positions, coeffs = payload.positions, payload.coefficients
-    else:
-        for key in payload:
-            if len(key) != len(other):
-                raise ValueError(
-                    f"payload key {key!r} must assign the {len(other)} non-label registers"
-                )
-        columns = np.array(list(payload), dtype=np.int64).reshape(len(payload), len(other)).T
-        positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
-        coeffs = np.array(list(payload.values()), dtype=np.complex128).reshape(-1)
+    for key in payload:
+        if len(key) != len(other):
+            raise ValueError(
+                f"payload key {key!r} must assign the {len(other)} non-label registers"
+            )
+    columns = np.array(list(payload), dtype=np.int64).reshape(len(payload), len(other)).T
+    positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
+    coeffs = np.array(list(payload.values()), dtype=np.complex128).reshape(-1)
 
     total = float(np.sum(np.abs(coeffs) ** 2))
     if total > 1.0 + PAYLOAD_EXCESS_TOL:
@@ -398,8 +364,13 @@ def _closed_form_stage(
     # depend on its bits: Python's abs for a single point (np.abs of a
     # complex can differ in the last bit), numpy's sum over an array.
     total = abs(complex(coeffs)) ** 2 if coeffs.ndim == 0 else float(np.sum(np.abs(coeffs) ** 2))
-    labeled = prepare_labeled_state(_CoefficientBlock(layout, payload, coeffs, fixed), layout,
-                                    LABEL, 1.0 - total, stream(seed, 0), payload_registers=payload)
+    grids = np.ix_(*(np.arange(1 << layout.width(name)) for name in payload))
+    values = {**fixed, **dict(zip(payload, grids))}
+    keys = np.stack([np.broadcast_to(values[name], coeffs.shape).reshape(-1)
+                     for name, _ in registers], axis=-1).tolist()
+    entries = dict(zip(map(tuple, keys), coeffs.reshape(-1).tolist()))  # C order of coeffs
+    labeled = prepare_labeled_state(entries, layout, LABEL, 1.0 - total, stream(seed, 0),
+                                    payload_registers=payload)
     flagged = 2 * labeled.positions + 1
     rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
     meas = extract_labeled_branch(layout.extended(FLAG), flagged, labeled.coefficients,

@@ -368,6 +368,14 @@ def test_det_phase_unrepresentable_scale_raises(n, exponent):
         determinant_phase(np.eye(n), scale_exponent=exponent)
 
 
+@pytest.mark.parametrize("exponent", [4096, -5000])
+def test_inverse_unrepresentable_scale_raises(exponent):
+    # 2^2048 overflows float64 and 2^-2500 is 0.0; an OverflowError and a
+    # "payload squared norm exceeds 1" ValueError used to escape instead.
+    with pytest.raises(PreparationError, match="scale"):
+        matrix_inverse(np.eye(3), scale_exponent=exponent)
+
+
 # --- matrix inversion ------------------------------------------------------------------
 
 def test_inverse_identity():
@@ -694,23 +702,6 @@ def test_prepare_labeled_state_draws_garbage_on_first_read():
     rng.random()
     assert not np.array_equal(moved.state.amplitudes, eager.amplitudes)
     assert moved.state.amplitudes[layout.index_of({"v": 2, LABEL: 1})] == 0.6
-
-
-def test_coefficient_block_is_the_payload_mapping_it_replaces():
-    from qlasim.pipelines import _CoefficientBlock
-
-    rng = np.random.default_rng(61)
-    layout = RegisterLayout([("row", 2), ("aux", 1), ("col", 1), ("mark", 1), (LABEL, 1)])
-    coeffs = _rand(rng, 4, 2) / 8
-    block = _CoefficientBlock(layout, ("row", "col"), coeffs, {"aux": 0, "mark": 1})
-    payload = {(j, 0, l, 1): coeffs[j, l] for j in range(4) for l in range(2)}
-    assert dict(block) == payload
-    assert block[(3, 0, 1, 1)] == coeffs[3, 1]
-    assert list(block.values()) == list(payload.values())
-    weight = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-    via_block = prepare_labeled_state(block, layout, LABEL, weight, stream(4))
-    via_dict = prepare_labeled_state(payload, layout, LABEL, weight, stream(4))
-    assert via_block.state.amplitudes.tobytes() == via_dict.state.amplitudes.tobytes()
 
 
 def test_prepare_labeled_state_rejects_bad_keys():
