@@ -15,6 +15,10 @@ import numpy as np
 PIVOT_TOL = 1e-13
 
 
+class PreparationError(ValueError):
+    """A value a pipeline needs does not fit in float64 as scaled (CLI exit 3)."""
+
+
 class SingularMatrixError(ValueError):
     """Elimination hit a pivot at most :data:`PIVOT_TOL` times the largest entry."""
 
@@ -41,6 +45,7 @@ def det_lu(matrix) -> complex:
     """Determinant via LU with partial pivoting; 0 for (near-)singular input.
 
     Singular means a pivot at most :data:`PIVOT_TOL` times the largest entry.
+    Raises :class:`PreparationError` if nonsingular pivots multiply to 0.
     """
     a = _square(matrix)
     n = a.shape[0]
@@ -56,6 +61,8 @@ def det_lu(matrix) -> complex:
         det *= a[k, k]
         a[k + 1:, k] /= a[k, k]
         a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    if det == 0:
+        raise PreparationError(f"determinant underflows float64: {n} nonsingular pivots")
     return complex(det)
 
 

@@ -14,19 +14,20 @@ Three ways to read an ancilla out of a state:
   ``branch_weight`` field, never in the post-state.
 
 :func:`extract_labeled_branch` gives the successful result of either
-extraction from the labeled branch alone, for callers that know that branch
-in closed form and would otherwise build the unlabeled one only to discard
-it.
+extraction from the labeled branch alone, as its nonzero amplitudes, for
+callers that know that branch in closed form; the dense post-state is built
+only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .rng import as_generator
-from .states import PureState, QubitSpec, RegisterLayout
+from .states import PureState, QubitSpec, RegisterLayout, _check_norm
 
 # A branch below this squared norm counts as absent.
 EMPTY_BRANCH_TOL = 1e-14
@@ -59,10 +60,38 @@ def _squared_norm(amps: np.ndarray) -> float:
     """Sum of ``|amp|^2`` in numpy's pairwise order over the array as shaped.
 
     Every reported ``branch_weight`` bit depends on this order, so the
-    weights are always summed over the same buffer: zeros included, since
-    they add exactly.
+    weights are always summed in it over the same buffer, zeros included
+    (they add exactly), or replayed over its nonzeros by :func:`_sparse_pairwise_sum`.
     """
     return float(np.sum(np.abs(amps) ** 2))
+
+
+def _sparse_pairwise_sum(length: int, indices: np.ndarray, values: np.ndarray) -> float:
+    """``float(np.sum(x))`` for a contiguous float64 ``x`` of power-of-two ``length``,
+    0 except for ``values`` at the strictly increasing ``indices``.
+
+    numpy sums a run of at most 128 terms in one kernel (8 lanes in turn,
+    then a tree), and a longer run as the sum of its two halves.  Zeros add
+    exactly, so the 128-term blocks that hold a value are summed by numpy
+    itself and the halving tree is replayed over those blocks alone.
+    """
+    if indices.size < 2:
+        return float(np.sum(values))
+    block = min(length, 128)
+    blocks = indices // block
+    new = np.concatenate(([True], blocks[1:] != blocks[:-1]))
+    held = blocks[new]
+    dense = np.zeros((held.size, block))
+    dense[np.cumsum(new) - 1, indices % block] = values
+    sums = dense.sum(axis=1)
+    # Neighbouring blocks meet at the tree level of the highest bit in which
+    # their numbers differ; the pairs meeting at each level are added, lowest first.
+    levels = np.frexp((held[1:] ^ held[:-1]).astype(np.float64))[1]
+    while levels.size:
+        apart = levels > levels.min()
+        sums = np.add.reduceat(sums, np.flatnonzero(np.concatenate(([True], apart))))
+        levels = levels[apart]
+    return float(sums[0])
 
 
 def branch_probability(state: PureState, qubit: QubitSpec, bit: int = 1) -> float:
@@ -144,37 +173,52 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class LabeledBranch:
+    """A successful extraction as its ``amplitudes`` at flat ``positions``; ``post_state``
+    builds the dense state, zeros elsewhere, on first read."""
+
+    layout: RegisterLayout
+    positions: np.ndarray
+    amplitudes: np.ndarray
+    branch_weight: float
+    outcome = 1  # a failed extraction returns None instead
+
+    @cached_property
+    def post_state(self) -> PureState:
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.positions] = self.amplitudes
+        return PureState(self.layout, amps, _adopt=True)
+
+
 def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
-                           amplitudes: np.ndarray, control_ancilla: QubitSpec,
-                           measured_ancilla: QubitSpec, rng=None) -> MeasureResult | None:
-    """The successful result of an extraction, built from the labeled branch alone.
+                           amplitudes: np.ndarray, measured_ancilla: QubitSpec,
+                           rng=None) -> LabeledBranch | None:
+    """The successful result of an extraction, from the labeled branch alone.
 
-    ``amplitudes`` sit at the flat basis ``positions`` of ``layout``, all with
-    ``control_ancilla`` and ``measured_ancilla`` at |1> (the labeled branch
-    after its labeling CNOT); nothing else of the state is needed.  Without
-    ``rng`` the result is that of :func:`controlled_measure`, with it that of
-    :func:`measure_sampled` on ``measured_ancilla``, whenever that is the
-    labeled branch.  Returns ``None`` when it is not, because the answer
-    depends on the unlabeled branch: the labeled weight is at most
-    :data:`EMPTY_BRANCH_TOL`, or the draw selects 0.
-
-    The buffer is the one those functions project onto, the same shape and
-    with the same values, so the weight, summed over the whole buffer or over
-    the measured=1 half, and the renormalized amplitudes have the same bits.
+    ``amplitudes`` sit at the strictly increasing flat ``positions`` of
+    ``layout``: the labeled branch after its labeling CNOT, so the control
+    (label) and ``measured_ancilla`` are |1> at each.  Without ``rng`` the
+    result is that of :func:`controlled_measure`, except that any nonzero
+    weight succeeds; with it, that of :func:`measure_sampled` on ``measured_ancilla``.
+    Returns ``None`` when the weight is 0 or the draw selects 0.  The weight
+    replays the pairwise sum those functions take over the whole state or the
+    measured=1 half, and the division is theirs, so the bits are the same.
     """
-    branch = np.zeros(layout.dim, dtype=np.complex128)
-    branch[positions] = amplitudes
+    if np.any(positions[1:] <= positions[:-1]):
+        raise ValueError("positions must be strictly increasing")
+    terms = np.abs(amplitudes) ** 2
     if rng is None:
-        position = layout.qubit_position(control_ancilla)
-        weight = _squared_norm(branch.reshape(1 << position, 2, -1))
-        if weight <= EMPTY_BRANCH_TOL:
+        weight = _sparse_pairwise_sum(layout.dim, positions, terms)
+        if weight == 0.0:
             return None
     else:
-        position = layout.qubit_position(measured_ancilla)
-        weight = _squared_norm(_sector(branch, position, 1))
+        low = layout.total_qubits - 1 - layout.qubit_position(measured_ancilla)
+        half = (positions >> (low + 1) << low) | (positions & ((1 << low) - 1))  # bit dropped
+        weight = _sparse_pairwise_sum(layout.dim >> 1, half, terms)
         if not as_generator(rng).random() < weight:
             return None
-    kept = _sector(branch, position, 1)
-    kept /= np.sqrt(weight)
-    return MeasureResult(post_state=PureState(layout, branch, _adopt=True), outcome=1,
-                         branch_weight=weight)
+    kept = amplitudes / np.sqrt(weight)
+    _check_norm(kept)
+    kept.setflags(write=False)
+    return LabeledBranch(layout, positions, kept, weight)

@@ -15,7 +15,8 @@ all-zero-controlled flip); the matrix-algebra end stages initialize their
 labeled states directly from closed-form coefficients, standing in for the
 upstream preparation circuits, and exercise only the final stage.  They share
 one routine, which builds garbage only when a result reads it: on success it
-builds just the labeled post-state, bit for bit what the three steps give.
+keeps just the labeled amplitudes, weighed by replaying numpy's pairwise sum,
+bit for bit what the three steps give, and builds ``final_state`` when read.
 
 Results come back up to normalization: the decoded entries have a fixed
 direction, and the lost magnitude is recovered from the measured branch
@@ -44,7 +45,8 @@ from .gates import (
     mcx_decomposition_count,
     swap_registers,
 )
-from .measure import (MeasureResult, branch_probability, controlled_measure,
+from .linalg import PreparationError
+from .measure import (LabeledBranch, MeasureResult, branch_probability, controlled_measure,
                       extract_labeled_branch, measure_sampled)
 from .rng import as_generator, first_draws, stream
 from .states import PureState, RegisterLayout, add_ancilla
@@ -59,10 +61,6 @@ PAYLOAD_EXCESS_TOL = 1e-12
 _MODES = ("ideal", "sampled")
 _SAMPLE_STREAM = 1 << 32  # substream reserved for the sampled-mode draw
 _STAGE_DEPTH = 1  # a closed-form end stage applies a single labeling CNOT
-
-
-class PreparationError(ValueError):
-    """Closed-form coefficients cannot fit in a unit-norm state as scaled."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +105,8 @@ class PipelineReport:
     outputs, a unit complex number for phase outputs, or ``None`` on failure.
     ``recovered_norm`` is the normalization constant reconstructed from the
     branch weight.  ``final_state`` is the post-measurement state (the
-    untouched input state on "not-measured").
+    untouched input state on "not-measured"); after a closed-form stage's
+    success it is built on first read, which allocates the whole state.
     """
 
     outcome: int | None
@@ -115,7 +114,11 @@ class PipelineReport:
     recovered_norm: float | None
     gate_depth: int
     result: DecodedResult | complex | None
-    final_state: PureState
+    measurement: MeasureResult | LabeledBranch = field(repr=False)
+
+    @property
+    def final_state(self) -> PureState:
+        return self.measurement.post_state
 
 
 def prepare_labeled_state(
@@ -179,15 +182,12 @@ def _label_and_measure(state: PureState, label: str, mode: str, seed: int) -> Me
     return measure_sampled(st, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
 
 
-def _failure(meas: MeasureResult, depth: int) -> PipelineReport:
-    weight = meas.branch_weight if meas.outcome is not None else 0.0
-    return PipelineReport(outcome=meas.outcome, branch_weight=weight, recovered_norm=None,
-                          gate_depth=depth, result=None, final_state=meas.post_state)
-
-
-def _success(meas: MeasureResult, depth: int, recovered: float, result) -> PipelineReport:
-    return PipelineReport(outcome=1, branch_weight=meas.branch_weight, recovered_norm=recovered,
-                          gate_depth=depth, result=result, final_state=meas.post_state)
+def _report(meas: MeasureResult | LabeledBranch, depth: int, recovered: float | None = None,
+            result=None) -> PipelineReport:
+    """A run's report; ``recovered`` and ``result`` are ``None`` unless it succeeded."""
+    return PipelineReport(outcome=meas.outcome, branch_weight=meas.branch_weight,
+                          recovered_norm=recovered, gate_depth=depth, result=result,
+                          measurement=meas)
 
 
 def _off_sector(block: np.ndarray) -> float:
@@ -250,12 +250,12 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     labeled = _row_sum_labeled(encoded)
     meas = _label_and_measure(labeled, LABEL, mode, seed)
     if meas.outcome != 1:
-        return _failure(meas, depth)
+        return _report(meas, depth)
 
     recovered = float(np.sqrt(meas.branch_weight * (1 << n_sum)))
     block, _, off = extract_payload(meas.post_state, ("R",))
     result = _decoded_rows(block, encoded.rows, encoded.scale * recovered, off)
-    return _success(meas, depth, recovered, result)
+    return _report(meas, depth, recovered, result)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +352,11 @@ def _closed_form_stage(
     ``registers`` precede the label; on the labeled branch those in ``fixed``
     hold that value and the rest (the payload) carry ``coeffs``, one axis
     each.  Success reports ``recover(sqrt(weight))`` and ``decode(block,
-    recovered)`` for the post-measurement payload ``block``, and builds only
-    the labeled post-state: the branch the CNOT copied onto the flag (flat
-    index ``2 * i + 1``).  Only "not-measured" and a failed sampled draw,
-    whose final state holds the garbage, build the full state.
+    recovered)`` for the post-measurement payload ``block``, and keeps only
+    the branch the CNOT copied onto the flag (flat index ``2 * i + 1``).
+    Only "not-measured" (every coefficient 0) and a failed sampled draw,
+    whose final state holds the garbage, build the full state.  A nonzero
+    branch whose weight underflows raises :class:`PreparationError`.
     """
     layout = RegisterLayout([*registers, (LABEL, 1)])
     payload = tuple(name for name, _ in registers if name not in fixed)
@@ -364,6 +365,8 @@ def _closed_form_stage(
     # depend on its bits: Python's abs for a single point (np.abs of a
     # complex can differ in the last bit), numpy's sum over an array.
     total = abs(complex(coeffs)) ** 2 if coeffs.ndim == 0 else float(np.sum(np.abs(coeffs) ** 2))
+    if total == 0.0 and np.any(coeffs):
+        raise PreparationError("labeled branch is nonzero, but its weight underflows float64")
     grids = np.ix_(*(np.arange(1 << layout.width(name)) for name in payload))
     values = {**fixed, **dict(zip(payload, grids))}
     keys = np.stack([np.broadcast_to(values[name], coeffs.shape).reshape(-1)
@@ -374,12 +377,12 @@ def _closed_form_stage(
     flagged = 2 * labeled.positions + 1
     rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
     meas = extract_labeled_branch(layout.extended(FLAG), flagged, labeled.coefficients,
-                                  (LABEL, 0), (FLAG, 0), rng)
+                                  (FLAG, 0), rng)
     if meas is None:
-        return _failure(_label_and_measure(labeled.state, LABEL, mode, seed), _STAGE_DEPTH)
+        return _report(_label_and_measure(labeled.state, LABEL, mode, seed), _STAGE_DEPTH)
     recovered = float(recover(np.sqrt(meas.branch_weight)))
-    block = meas.post_state.amplitudes[flagged].reshape(coeffs.shape)
-    return _success(meas, _STAGE_DEPTH, recovered, decode(block, recovered))
+    block = meas.amplitudes.reshape(coeffs.shape)
+    return _report(meas, _STAGE_DEPTH, recovered, decode(block, recovered))
 
 
 def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:

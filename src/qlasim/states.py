@@ -145,6 +145,13 @@ class RegisterLayout:
         return RegisterLayout(list(self.registers) + [(name, width)])
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    """Refuse amplitudes whose squared norm is not 1 within :data:`NORM_TOL`."""
+    nrm2 = float(np.vdot(amps, amps).real)
+    if not abs(nrm2 - 1.0) <= NORM_TOL:  # also refuses NaN
+        raise ValueError(f"state is not normalized: |amplitudes|^2 = {nrm2!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector over a :class:`RegisterLayout`."""
@@ -160,9 +167,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, layout needs {self.layout.dim}"
             )
-        nrm2 = float(np.vdot(amps, amps).real)
-        if not abs(nrm2 - 1.0) <= NORM_TOL:  # also refuses NaN
-            raise ValueError(f"state is not normalized: |amplitudes|^2 = {nrm2!r}")
+        _check_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -103,6 +103,25 @@ def test_det_phase_unrepresentable_scale_exits_3(tmp_path, capsys):
     assert "numerical failure" in out
 
 
+def test_underflowing_determinant_exits_3(tmp_path, capsys):
+    # Condition number 1, but the pivot product 1e-360 is below float64's range.
+    path = _write(tmp_path, "tiny.json", 1e-90 * np.eye(4))
+    for command in ("inverse", "det-phase"):
+        code, out = _run(capsys, [command, path])
+        assert code == 3
+        assert "underflow" in out
+
+
+def test_mul_64x64_exits_0(tmp_path, capsys):
+    # 28 qubits with the flag: a dense post-state would need 4 GiB.
+    rng = np.random.default_rng(64)
+    a = _write(tmp_path, "a.json", rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    b = _write(tmp_path, "b.json", rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    code, out = _run(capsys, ["mul", a, b, "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["outcome"] == 1
+
+
 def test_rowsum_success_json_fields(tmp_path, capsys):
     path = _write(tmp_path, "m.json", [[1.0, 2.0], [3.0, 4.0]])
     code, out = _run(capsys, ["rowsum", path, "--output", "json"])

@@ -7,6 +7,8 @@ not tell +0 from -0) and every branch weight equal as a float.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlasim import (
     PureState,
@@ -24,7 +26,7 @@ from qlasim import (
     stream,
 )
 from qlasim.gates import PAULI, _H, _apply_1q, _flip_where
-from qlasim.measure import extract_labeled_branch
+from qlasim.measure import _sector, _sparse_pairwise_sum, extract_labeled_branch
 
 GATES = {"H": _H, **PAULI}
 
@@ -164,7 +166,7 @@ def test_labeled_branch_alone_matches_full_state_extraction():
         labeled = state.amplitudes.reshape(1 << label, 2, -1)[:, 1].reshape(-1)
         positions = np.arange(layout.dim).reshape(1 << label, 2, -1)[:, 1].reshape(-1)
         keep = labeled != 0
-        args = (layout, positions[keep], labeled[keep], ("label", 0), ("flag", 0))
+        args = (layout, positions[keep], labeled[keep], ("flag", 0))
 
         got = extract_labeled_branch(*args)
         want = controlled_measure(state, ("label", 0), ("flag", 0))
@@ -218,3 +220,98 @@ def test_flips_match_copy_and_swap_reference():
         want = _flip_reference(amps, n, controls, n - 1)
         got = controlled_on_zero_flip(state, "C", "T").amplitudes
         assert got.tobytes() == want.tobytes()
+
+
+# --- the sparse replay of numpy's pairwise sum ------------------------------------------
+
+_PLACEMENTS = ("empty", "single", "cluster", "per-block", "scattered")
+
+
+def _sparse_buffer(rng, length, placement, exponent, spread):
+    """Sorted positions in a buffer of ``length`` and complex values at them.
+
+    Magnitudes are 10^(exponent + spread * u), u uniform in [-1/2, 1/2] and
+    the power kept within 10^-300..10^300, so a narrow spread makes the
+    summation order matter and a wide one mixes squares that overflow,
+    underflow and sit in between.
+    """
+    block = min(length, 128)
+    if placement == "empty":
+        positions = np.zeros(0, dtype=np.int64)
+    elif placement == "single":
+        positions = rng.integers(0, length, 1)
+    elif placement == "cluster":  # some of the slots of one 128-block
+        start = int(rng.integers(0, length // block)) * block
+        positions = start + np.flatnonzero(rng.random(block) < 0.6)
+    elif placement == "per-block":
+        positions = np.arange(0, length, block) + rng.integers(0, block, length // block)
+    else:
+        positions = np.unique(rng.integers(0, length, min(length, 3000)))
+    n = positions.size
+    mags = 10.0 ** np.clip(exponent + spread * (rng.random(n) - 0.5), -300.0, 300.0)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    return positions.astype(np.int64), mags * phases
+
+
+@np.errstate(over="ignore")  # squares of 1e300 are inf on both sides
+def _assert_replays_dense_sum(length, positions, values):
+    dense = np.zeros(length, dtype=np.complex128)
+    dense[positions] = values
+    want = float(np.sum(np.abs(dense) ** 2))
+    got = _sparse_pairwise_sum(length, positions, np.abs(values) ** 2)
+    assert got == want, (length, positions.size)
+    # The measured=1 half along a qubit: the strided view the sampled weight sums.
+    k = length.bit_length() - 1
+    for position in {0, k // 2, k - 1} if k else ():
+        in_half = np.arange(length).reshape(1 << position, 2, -1)[:, 1].reshape(-1)
+        half = np.flatnonzero(np.isin(positions, in_half))
+        compact = np.searchsorted(in_half, positions[half])
+        want = float(np.sum(np.abs(_sector(dense, position, 1)) ** 2))
+        got = _sparse_pairwise_sum(length // 2, compact, np.abs(values[half]) ** 2)
+        assert got == want, (length, position)
+
+
+@pytest.mark.parametrize("placement", _PLACEMENTS)
+@pytest.mark.parametrize("k", range(21))
+def test_sparse_pairwise_sum_replays_numpy_at_every_length(k, placement):
+    # Lengths 1..4 take numpy's running sum, 8..128 one block of 8 lanes,
+    # and longer buffers the halving above the blocks.
+    rng = np.random.default_rng(1000 * k + _PLACEMENTS.index(placement))
+    for exponent, spread in [(0.0, 0.3), (-150.0, 1.0), (0.0, 600.0)]:
+        positions, values = _sparse_buffer(rng, 1 << k, placement, exponent, spread)
+        _assert_replays_dense_sum(1 << k, positions, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(0, 20), placement=st.sampled_from(_PLACEMENTS),
+       exponent=st.floats(-300.0, 300.0), spread=st.sampled_from([0.0, 0.5, 20.0, 600.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_pairwise_sum_is_bit_exact(k, placement, exponent, spread, seed):
+    positions, values = _sparse_buffer(np.random.default_rng(seed), 1 << k, placement,
+                                       exponent, spread)
+    _assert_replays_dense_sum(1 << k, positions, values)
+
+
+def test_sparse_pairwise_sum_includes_squares_that_underflow():
+    # 1e-170 squares to 0 and 1e-160 to a subnormal; both must add as numpy adds them.
+    positions = np.array([0, 3, 130, 131, 4000], dtype=np.int64)
+    values = np.array([1e-170, 1e-160, 1e-160, 3e-155j, 1e-170 + 1e-160j])
+    _assert_replays_dense_sum(1 << 12, positions, values)
+
+
+def test_extraction_rejects_unordered_positions():
+    layout = RegisterLayout([("S", 2), ("label", 1), ("flag", 1)])
+    for positions in ([7, 3], [3, 3]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            extract_labeled_branch(layout, np.array(positions), np.array([0.6, 0.8]), ("flag", 0))
+
+
+def test_extracted_post_state_is_built_once_on_first_read():
+    layout = RegisterLayout([("S", 2), ("label", 1), ("flag", 1)])
+    got = extract_labeled_branch(layout, np.array([3, 15]), np.array([0.3, 0.4j]), ("flag", 0))
+    assert got.branch_weight == 0.25
+    state = got.post_state
+    assert got.post_state is state
+    want = np.zeros(16, dtype=np.complex128)
+    want[[3, 15]] = [0.6, 0.8j]
+    assert state.amplitudes.tobytes() == want.tobytes()

@@ -12,6 +12,7 @@ from qlasim import (
     row_sums,
 )
 from qlasim.linalg import add, mul
+from qlasim.pipelines import PreparationError
 
 
 def _det_cofactor(a: np.ndarray) -> complex:
@@ -109,6 +110,15 @@ def test_pivot_tolerance_scales_with_the_matrix():
     assert det_lu(1e-14 * np.array([[1.0, 2.0], [2.0, 4.0]])) == 0
     with pytest.raises(SingularMatrixError):
         inverse_gj(1e20 * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_det_underflow_is_not_singular():
+    # Every pivot 1e-90 is far above the singularity floor; only their
+    # product 1e-360 underflows float64.
+    with pytest.raises(PreparationError, match="underflow"):
+        det_lu(1e-90 * np.eye(4))
+    # A subnormal product is still a value.
+    assert 0.0 < abs(det_lu(1e-80 * np.eye(4))) < 1e-300
 
 
 def test_row_sums_known():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qlasim import (
+    EMPTY_BRANCH_TOL,
     RegisterLayout,
     add_ancilla,
     bilinear,
@@ -360,6 +361,42 @@ def test_det_phase_weight_underflow_raises():
         determinant_phase(1e-100 * np.eye(2))
 
 
+def _random16():
+    return _rand(np.random.default_rng(0x4B), 16, 16)
+
+
+@pytest.mark.parametrize("a", [np.eye(5), np.eye(8), np.diag([1e-3, 1e-3, 1.0, 1.0]),
+                               _random16()], ids=["eye5", "eye8", "diag", "random16"])
+def test_det_phase_succeeds_below_the_empty_branch_bound(a):
+    # The coefficient det / 2^(N^2/2) is exact and nonzero; only its weight is
+    # below EMPTY_BRANCH_TOL, which used to report "not-measured".
+    report = determinant_phase(a)
+    d = np.linalg.det(a)
+    assert report.outcome == 1
+    assert 0.0 < report.branch_weight <= EMPTY_BRANCH_TOL
+    assert abs(report.result - d / abs(d)) < ATOL
+
+
+def test_tiny_closed_form_branch_succeeds():
+    report = inner_product_phase([1.0, 0.0], [1e-10, 1.0])
+    assert report.outcome == 1
+    assert 0.0 < report.branch_weight < 1e-20
+    assert report.result == 1.0
+
+
+def test_nonzero_branch_with_underflowing_weight_raises():
+    # The inner product is 1e-170: nonzero, but its square underflows float64.
+    with pytest.raises(PreparationError, match="underflows"):
+        inner_product_phase([1.0, 0.0], [1e-170, 1.0])
+
+
+@pytest.mark.parametrize("stage", [matrix_inverse, determinant_phase])
+def test_underflowing_determinant_raises(stage):
+    # Condition number 1, but det = 1e-360 is below float64's range.
+    with pytest.raises(PreparationError, match="underflow"):
+        stage(1e-90 * np.eye(4))
+
+
 @pytest.mark.parametrize("n, exponent", [(64, None), (2, 4096), (2, -5000)])
 def test_det_phase_unrepresentable_scale_raises(n, exponent):
     # The default exponent at 64x64 is 4096, and 2^2048 overflows float64;
@@ -684,6 +721,24 @@ def test_successful_product_allocates_little_beyond_its_final_state():
         tracemalloc.stop()
     assert report.outcome == 1
     assert peak < 2 * report.final_state.amplitudes.nbytes
+
+
+def test_ideal_64x64_product_runs_in_megabytes():
+    # 28 qubits with the flag: the dense post-state would take 4 GiB per
+    # copy.  Success keeps only the 4,096 labeled amplitudes; final_state is
+    # not read.
+    rng = np.random.default_rng(64)
+    a, b = _rand(rng, 64, 64), _rand(rng, 64, 64)
+    tracemalloc.start()
+    try:
+        report = matrix_mul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == 1
+    assert peak < 16 * 2**20
+    want = a @ b
+    assert np.max(np.abs(report.result.matrix - want)) <= ATOL * np.max(np.abs(want))
 
 
 def test_prepare_labeled_state_draws_garbage_on_first_read():
