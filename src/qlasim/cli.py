@@ -21,7 +21,6 @@ from . import pipelines
 from .encode import DecodedResult, NonProductSectorError, encode_rc, encode_rcm, decode_rcm
 from .gates import mcx_decomposition_count
 from .linalg import SingularMatrixError
-from .measure import EmptyBranchError
 from .pipelines import PreparationError
 
 EXIT_OK = 0
@@ -38,12 +37,11 @@ class CliInputError(ValueError):
 
 # --- serialization ---------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_fmt = "{:.17g}".format  # 17 significant digits read back as the same float64
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits (lossless round trip)."""
+    """JSON text with floats at 17 significant digits; a file dict's ``data`` in one pass."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -58,16 +56,16 @@ def dumps(obj) -> str:
         return "{" + ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.shape[1:] == (2,):
+        flat = obj.ravel().tolist()
+        return "[" + ",".join(map("[{:.17g},{:.17g}]".format, flat[0::2], flat[1::2])) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def matrix_to_filedict(matrix) -> dict:
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
+    """File dict of ``matrix``; ``data`` is a float64 copy of shape (rows*cols, 2)."""
+    m = np.array(matrix, dtype=np.complex128, order="C", ndmin=2)
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": m.view(np.float64).reshape(-1, 2)}
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -83,18 +81,30 @@ def read_matrix(path: str) -> np.ndarray:
     if not isinstance(raw, dict) or not {"rows", "cols", "data"} <= set(raw):
         raise CliInputError(f"{path}: expected keys rows, cols, data")
     rows, cols, data = raw["rows"], raw["cols"], raw["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise CliInputError(f"{path}: rows and cols must be positive integers")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    if not isinstance(data, list):
+        raise CliInputError(f"{path}: data must be a list of [re, im] pairs")
+    if len(data) != rows * cols:
         raise CliInputError(
             f"{path}: data must hold rows*cols = {rows * cols} entries, got {len(data)}"
         )
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
-            raise CliInputError(f"{path}: entry {i} is not an [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged or too deeply nested
+        pairs = np.empty(0)
+    if pairs.shape == (rows * cols, 2) and pairs.dtype.kind in "biuf":
+        out = pairs.astype(np.float64).view(np.complex128)  # the same casts as complex()
+    else:  # strings, null, nesting, integers past uint64: name the first bad entry
+        out = np.empty(rows * cols, dtype=np.complex128)
+        for i, pair in enumerate(data):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) for v in pair)):
+                raise CliInputError(f"{path}: entry {i} is not an [re, im] pair")
+            try:
+                out[i] = complex(pair[0], pair[1])
+            except OverflowError:  # an integer past float64's range, like 1e999
+                out[i] = np.inf
     if not np.all(np.isfinite(out)):
         raise CliInputError(f"{path}: entries must be finite")
     return out.reshape(rows, cols)
@@ -107,11 +117,12 @@ def read_vector(path: str) -> np.ndarray:
     return m.reshape(-1)
 
 
-def write_report(payload: dict, lines: list[str], output: str) -> None:
+def write_report(payload: dict, text_lines, output: str) -> None:
+    """Print ``payload`` as JSON, or the lines ``text_lines()`` builds for text output."""
     if output == "json":
         print(dumps(payload))
     else:
-        for line in lines:
+        for line in text_lines():
             print(line)
 
 
@@ -151,7 +162,7 @@ def _report_pipeline(command: str, report: pipelines.PipelineReport, args) -> in
         message = (NOT_MEASURED_MESSAGE if report.outcome is None
                    else "sampled measurement failed (outcome 0)")
         payload["message"] = message
-        write_report(payload, [message, f"outcome: {_outcome_payload(report.outcome)}"],
+        write_report(payload, lambda: [message, f"outcome: {_outcome_payload(report.outcome)}"],
                      args.output)
         return EXIT_NOT_MEASURED
 
@@ -159,15 +170,14 @@ def _report_pipeline(command: str, report: pipelines.PipelineReport, args) -> in
         payload["error"] = (
             f"decode residual {report.result.residual:.3e} over tolerance"
         )
-        write_report(payload, [payload["error"]], args.output)
+        write_report(payload, lambda: [payload["error"]], args.output)
         return EXIT_NUMERICAL
 
-    lines = [f"outcome: {report.outcome}",
-             f"branch_weight: {_fmt(report.branch_weight)}",
-             f"recovered_norm: {_fmt(report.recovered_norm)}",
-             f"gate_depth: {report.gate_depth}"]
-    lines.extend(_matrix_lines(report.result))
-    write_report(payload, lines, args.output)
+    write_report(payload, lambda: [f"outcome: {report.outcome}",
+                                   f"branch_weight: {_fmt(report.branch_weight)}",
+                                   f"recovered_norm: {_fmt(report.recovered_norm)}",
+                                   f"gate_depth: {report.gate_depth}",
+                                   *_matrix_lines(report.result)], args.output)
     return EXIT_OK
 
 
@@ -199,8 +209,7 @@ def _cmd_hconj(args) -> int:
         "result": matrix_to_filedict(decoded.matrix),
         "residual": decoded.residual,
     }
-    lines = _matrix_lines(decoded)
-    write_report(payload, lines, args.output)
+    write_report(payload, lambda: _matrix_lines(decoded), args.output)
     return EXIT_OK
 
 
@@ -252,11 +261,9 @@ def _cmd_bench_measure(args) -> int:
             for r in rows
         ],
     }
-    lines = ["n_r  analytic_p  empirical_p  controlled_success_rate"]
-    for r in rows:
-        lines.append(f"{r.n_r}  {_fmt(r.analytic_p)}  {_fmt(r.empirical_p)}  "
-                     f"{_fmt(r.controlled_success_rate)}")
-    write_report(payload, lines, args.output)
+    write_report(payload, lambda: ["n_r  analytic_p  empirical_p  controlled_success_rate"] + [
+        f"{r.n_r}  {_fmt(r.analytic_p)}  {_fmt(r.empirical_p)}  {_fmt(r.controlled_success_rate)}"
+        for r in rows], args.output)
     return EXIT_OK
 
 
@@ -272,10 +279,9 @@ def _cmd_depth(args) -> int:
             for c in counts
         ],
     }
-    lines = ["n_controls  single_qubit_gates  toffoli_gates  depth"]
-    for c in counts:
-        lines.append(f"{c.n_controls}  {c.single_qubit_gates}  {c.toffoli_gates}  {c.depth}")
-    write_report(payload, lines, args.output)
+    write_report(payload, lambda: ["n_controls  single_qubit_gates  toffoli_gates  depth"] + [
+        f"{c.n_controls}  {c.single_qubit_gates}  {c.toffoli_gates}  {c.depth}"
+        for c in counts], args.output)
     return EXIT_OK
 
 
@@ -351,16 +357,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliInputError as exc:
-        print(f"input error: {exc}")
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, (SingularMatrixError, NonProductSectorError, PreparationError)):
-            print(f"numerical failure: {exc}")
-            return EXIT_NUMERICAL
-        if isinstance(exc, EmptyBranchError):
-            print(NOT_MEASURED_MESSAGE)
-            return EXIT_NOT_MEASURED
+    except (SingularMatrixError, NonProductSectorError, PreparationError) as exc:
+        print(f"numerical failure: {exc}")
+        return EXIT_NUMERICAL
+    except (ValueError, KeyError) as exc:  # CliInputError and the pipelines' shape checks
         print(f"input error: {exc}")
         return EXIT_INPUT
 

@@ -58,6 +58,42 @@ def test_nonfinite_entry_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("shape", ['"rows":true,"cols":1', '"rows":1,"cols":true'],
+                         ids=["rows", "cols"])
+def test_boolean_rows_or_cols_exits_2(tmp_path, capsys, shape):
+    path = tmp_path / "bool.json"
+    path.write_text('{%s,"data":[[1,0]]}' % shape)
+    code, out = _run(capsys, ["rowsum", str(path)])
+    assert code == 2
+    assert "rows and cols must be positive integers" in out
+
+
+@pytest.mark.parametrize("data", ["null", "5", '"ab"'])
+def test_data_that_is_not_a_list_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "data.json"
+    path.write_text('{"rows":1,"cols":1,"data":%s}' % data)
+    code, out = _run(capsys, ["rowsum", str(path)])
+    assert code == 2
+    assert "data must be a list of [re, im] pairs" in out
+
+
+@pytest.mark.parametrize("entry", ["[1%s,0]" % ("0" * 400), "[0,-1%s]" % ("0" * 400)],
+                         ids=["re", "im"])
+def test_integer_beyond_float64_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows":1,"cols":1,"data":[%s]}' % entry)
+    code, out = _run(capsys, ["rowsum", str(path)])
+    assert code == 2
+    assert "entries must be finite" in out
+
+
+def test_integer_within_float64_keeps_its_bits(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text('{"rows":1,"cols":2,"data":[[%d,%d],[%d,0]]}' % (2**70, -(3**45), 2**64 + 1))
+    np.testing.assert_array_equal(read_matrix(str(path)),
+                                  [[complex(2**70, -(3**45)), complex(2**64 + 1, 0)]])
+
+
 def test_hconj_imaginary_scalar_json(tmp_path, capsys):
     path = _write(tmp_path, "i.json", [[1j]])
     code, out = _run(capsys, ["hconj", path, "--output", "json"])

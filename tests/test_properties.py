@@ -1,7 +1,10 @@
-"""Property-based checks of the state kernels and the encodings."""
+"""Property-based checks of the state kernels, the encodings and the CLI's matrix I/O."""
+
+import json
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlasim import (
@@ -16,6 +19,7 @@ from qlasim import (
     random_state,
     swap_registers,
 )
+from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.gates import _flip_where
 
 NORM_DRIFT = 1e-12
@@ -134,3 +138,151 @@ def test_decode_inverts_encode_exactly_for_one_real_entry(shape, data, magnitude
     a[i, j] = -magnitude if negative else magnitude
     for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
         assert np.array_equal(decode(encode(a)).matrix, a)
+
+
+# --- CLI matrix I/O against the per-entry reader and the recursive writer ---
+
+def _reference_read_matrix(path):
+    """The per-entry reader ``read_matrix`` replaced, with its exit-code fixes:
+    boolean rows/cols, non-list data and integers past float64 are malformed."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict) or not {"rows", "cols", "data"} <= set(raw):
+        raise CliInputError(f"{path}: expected keys rows, cols, data")
+    rows, cols, data = raw["rows"], raw["cols"], raw["data"]
+    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1
+            and not isinstance(rows, bool) and not isinstance(cols, bool)):
+        raise CliInputError(f"{path}: rows and cols must be positive integers")
+    if not isinstance(data, list):
+        raise CliInputError(f"{path}: data must be a list of [re, im] pairs")
+    if len(data) != rows * cols:
+        raise CliInputError(
+            f"{path}: data must hold rows*cols = {rows * cols} entries, got {len(data)}"
+        )
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for i, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, (int, float)) for v in pair)):
+            raise CliInputError(f"{path}: entry {i} is not an [re, im] pair")
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            out[i] = np.inf
+    if not np.all(np.isfinite(out)):
+        raise CliInputError(f"{path}: entries must be finite")
+    return out.reshape(rows, cols)
+
+
+_NEAR_2_63 = st.integers(-3, 3).map(lambda d: 2**63 + d)
+_NEAR_2_64 = st.integers(-3, 3).map(lambda d: 2**64 + d)
+# One kind of number per file, so that each numpy dtype the array path meets
+# (bool, int64, uint64, float64, object) is drawn whole as well as mixed.
+_NUMBER_KINDS = [
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1),
+    _NEAR_2_63 | _NEAR_2_64,
+    _NEAR_2_63 | _NEAR_2_64 | _NEAR_2_63.map(lambda v: -v) | _NEAR_2_64.map(lambda v: -v),
+    st.integers(2**1020, 2**1030) | st.integers(-3, 3).map(lambda d: d * 10**400),
+    st.floats(),
+    st.booleans() | st.integers() | st.floats(),
+    st.booleans() | st.integers(-2**70, 2**70) | st.floats(allow_nan=False, allow_infinity=False),
+]
+_JUNK = st.one_of(
+    st.text(max_size=3), st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.integers(), st.floats(),
+    st.lists(st.integers(), max_size=3).filter(lambda v: len(v) != 2),
+    st.lists(st.lists(st.integers(), min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2), st.none(),
+                       st.lists(st.integers(), max_size=2)), min_size=2, max_size=2),
+)
+_BAD_SIZES = st.sampled_from([True, False, 0, -1, 1.0, "2", None])
+
+
+@st.composite
+def matrix_files(draw):
+    """A matrix file as a JSON-ready dict: well formed, or broken in one place."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    number = draw(st.sampled_from(_NUMBER_KINDS))
+    pair = st.lists(number, min_size=2, max_size=2)
+    data = draw(st.lists(pair, min_size=rows * cols, max_size=rows * cols))
+    raw = {"rows": rows, "cols": cols, "data": data}
+    fault = draw(st.sampled_from(["none", "none", "entry", "entry", "length",
+                                  "size", "data", "key"]))
+    if fault == "entry":
+        data[draw(st.integers(0, len(data) - 1))] = draw(_JUNK)
+    elif fault == "length" and (len(data) == 1 or draw(st.booleans())):
+        data.append(draw(pair))
+    elif fault == "length":
+        data.pop()
+    elif fault == "size":
+        raw[draw(st.sampled_from(["rows", "cols"]))] = draw(_BAD_SIZES)
+    elif fault == "data":
+        raw["data"] = draw(st.one_of(st.text(max_size=3), st.none(), st.just({})))
+    elif fault == "key":
+        del raw[draw(st.sampled_from(sorted(raw)))]
+    return raw
+
+
+def _read_outcome(reader, path):
+    try:
+        m = reader(path)
+    except CliInputError as exc:
+        return str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli_io") / "m.json")
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_files())
+@example({"rows": 1, "cols": 2, "data": [[True, 0], [2**63, -(2**63)]]})
+@example({"rows": 1, "cols": 1, "data": [[10**400, "x"]]})
+@example({"rows": 2, "cols": 1, "data": [[-10**400, 0], [1, None]]})
+def test_read_matrix_matches_the_per_entry_reader(matrix_path, raw):
+    with open(matrix_path, "w") as fh:
+        json.dump(raw, fh)  # NaN and +-Infinity as JSON literals
+    assert (_read_outcome(read_matrix, matrix_path)
+            == _read_outcome(_reference_read_matrix, matrix_path))
+
+
+def _reference_dumps(obj):
+    """The recursive formatter ``dumps`` used for every float, matrices included."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_reference_dumps(v)}"
+                              for k, v in obj.items()) + "}"
+    return "[" + ",".join(_reference_dumps(v) for v in obj) + "]"
+
+
+def _reference_filedict(m):
+    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def float_matrices(draw):
+    """Complex matrices whose parts are any float64, NaN and infinities included."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(), min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_matrices())
+@example(np.array(_EDGE_FLOATS + _EDGE_FLOATS[::-1]).view(np.complex128).reshape(2, 4))
+def test_dumps_matches_the_recursive_writer(m):
+    for view in (m, m.T):  # C- and Fortran-ordered
+        assert dumps(matrix_to_filedict(view)) == _reference_dumps(_reference_filedict(view))
