@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -353,9 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_common(args) -> None:
+    """Reject a tolerance that disables or inverts the residual check, and a seed
+    that :func:`~qlasim.rng.stream` would wrap onto another seed's stream."""
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise CliInputError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    if not 0 <= args.seed < 1 << 64:
+        raise CliInputError(f"--seed must be in [0, 2^64), got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_common(args)
         return args.fn(args)
     except (SingularMatrixError, NonProductSectorError, PreparationError) as exc:
         print(f"numerical failure: {exc}")

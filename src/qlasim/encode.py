@@ -131,40 +131,24 @@ def encode_rcm(matrix) -> EncodedMatrix:
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 
 
-def extract_payload(
-    state: PureState, payload: Sequence[str]
-) -> tuple[np.ndarray, dict[str, int], float]:
+def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarray, float]:
     """Amplitudes over ``payload`` registers at the dominant basis assignment
     of every other register.
 
-    Returns ``(block, assignment, off_sector_weight)``.  ``block`` has one
-    axis per payload register, in the order given; ``off_sector_weight`` is
-    the amplitude mass outside the dominant assignment.
+    Returns ``(block, off_sector_weight)``.  ``block`` has one axis per
+    payload register, in the order given; ``off_sector_weight`` is the
+    amplitude mass outside the dominant assignment.
     """
     layout = state.layout
     payload = list(payload)
     payload_axes = [ax for name in payload for ax in layout.axes(name)]
-    other_names = [nm for nm in layout.names if nm not in payload]
-
     a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
-    front = 1 << len(payload_axes)
-    flat = a.reshape(front, -1)
+    flat = a.reshape(1 << len(payload_axes), -1)
     mass = np.sum(np.abs(flat) ** 2, axis=0)
     k = int(np.argmax(mass))
     off = float(max(0.0, 1.0 - mass[k]))
-
-    # Remaining axes keep declaration order, so k's bits split register by
-    # register from the least significant end.
-    assignment: dict[str, int] = {}
-    value = k
-    for name in reversed(other_names):
-        w = layout.width(name)
-        assignment[name] = value & ((1 << w) - 1)
-        value >>= w
-    assignment = {name: assignment[name] for name in other_names}
-
     block = flat[:, k].copy()
-    return block.reshape([1 << layout.width(nm) for nm in payload]), assignment, off
+    return block.reshape([1 << layout.width(nm) for nm in payload]), off
 
 
 def _payload_mass(block: np.ndarray) -> float:
@@ -216,7 +200,7 @@ def decode_rc(source, rows: int | None = None, cols: int | None = None,
     decoded matrix is unit-Frobenius unless a scale is known.
     """
     state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RC")
-    block, _, off = extract_payload(state, ("R", "C"))
+    block, off = extract_payload(state, ("R", "C"))
     return _finish(block, rows, cols, scale, off)
 
 
@@ -224,6 +208,6 @@ def decode_rcm(source, rows: int | None = None, cols: int | None = None,
                scale: float | None = None) -> DecodedResult:
     """Recover a complex matrix from an RCM encoding."""
     state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RCM")
-    block, _, off = extract_payload(state, ("R", "C", "M"))
+    block, off = extract_payload(state, ("R", "C", "M"))
     entries = block[:, :, 0] + 1j * block[:, :, 1]
     return _finish(entries, rows, cols, scale, off)

@@ -32,6 +32,8 @@ from .states import PureState, QubitSpec, RegisterLayout, _check_norm
 # A branch below this squared norm counts as absent.
 EMPTY_BRANCH_TOL = 1e-14
 
+_DENSE_SUM_MAX = 1 << 14  # buffer length up to which a sparse sum fills and sums densely
+
 
 class EmptyBranchError(ValueError):
     """Post-selection on a branch that carries (numerically) no amplitude."""
@@ -73,10 +75,15 @@ def _sparse_pairwise_sum(length: int, indices: np.ndarray, values: np.ndarray) -
     numpy sums a run of at most 128 terms in one kernel (8 lanes in turn,
     then a tree), and a longer run as the sum of its two halves.  Zeros add
     exactly, so the 128-term blocks that hold a value are summed by numpy
-    itself and the halving tree is replayed over those blocks alone.
+    itself and the halving tree is replayed over those blocks alone.  Up to
+    ``_DENSE_SUM_MAX`` slots, filling ``x`` and summing it is cheaper.
     """
     if indices.size < 2:
         return float(np.sum(values))
+    if length <= _DENSE_SUM_MAX:
+        dense = np.zeros(length)
+        dense[indices] = values
+        return float(np.sum(dense))
     block = min(length, 128)
     blocks = indices // block
     new = np.concatenate(([True], blocks[1:] != blocks[:-1]))

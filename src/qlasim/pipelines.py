@@ -1,22 +1,22 @@
 """End-to-end pipelines built around deterministic garbage removal.
 
-Every pipeline follows the same final stage.  The working state is a
+Every measured pipeline ends in one final stage.  The working state is a
 superposition of a useful branch tagged by a one-qubit *label* ancilla in |1>
-and a garbage branch with the label in |0>:
-
-1. append a fresh *flag* ancilla in |0>,
-2. copy the label onto the flag with a CNOT,
-3. run :func:`~qlasim.measure.controlled_measure`, which returns the labeled
-   branch renormalized no matter how small its weight is, or leaves the state
-   untouched when no labeled component exists.
+and a garbage branch with the label in |0>.  The circuit appends a *flag*
+ancilla in |0>, copies the label onto it with a CNOT and runs
+:func:`~qlasim.measure.controlled_measure`, which returns the labeled branch
+renormalized however small its weight, or leaves the state untouched when no
+labeled component exists.  The final stage gets that result bit for bit from
+the labeled amplitudes alone (:func:`~qlasim.measure.extract_labeled_branch`)
+and builds ``final_state`` when read; only a result that keeps the whole
+state (no labeled branch, a failed sampled draw) runs the circuit densely.
 
 ``row_sum`` builds its labeled state from gates (Hadamards plus an
-all-zero-controlled flip); the matrix-algebra end stages initialize their
-labeled states directly from closed-form coefficients, standing in for the
-upstream preparation circuits, and exercise only the final stage.  They share
-one routine, which builds garbage only when a result reads it: on success it
-keeps just the labeled amplitudes, weighed by replaying numpy's pairwise sum,
-bit for bit what the three steps give, and builds ``final_state`` when read.
+all-zero-controlled flip); rows that cancel leave rounding noise there, not
+zeros, so its branch counts as empty up to ``EMPTY_BRANCH_TOL``.  The
+matrix-algebra end stages initialize their labeled branch from closed-form
+coefficients, standing in for the upstream preparation circuits, and build
+the garbage only when a result reads it.
 
 Results come back up to normalization: the decoded entries have a fixed
 direction, and the lost magnitude is recovered from the measured branch
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .encode import DecodedResult, EncodedMatrix, extract_payload, _payload_mass, _reg_width
+from .encode import DecodedResult, EncodedMatrix, _payload_mass, _reg_width
 from .gates import (
     apply_single,
     cnot,
@@ -46,8 +46,8 @@ from .gates import (
     swap_registers,
 )
 from .linalg import PreparationError
-from .measure import (LabeledBranch, MeasureResult, branch_probability, controlled_measure,
-                      extract_labeled_branch, measure_sampled)
+from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
+                      controlled_measure, extract_labeled_branch, measure_sampled)
 from .rng import as_generator, first_draws, stream
 from .states import PureState, RegisterLayout, add_ancilla
 
@@ -173,12 +173,26 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _label_and_measure(state: PureState, label: str, mode: str, seed: int) -> MeasureResult:
-    """Shared final stage: flag ancilla, labeling CNOT, branch extraction."""
-    st = add_ancilla(state, FLAG)
-    st = cnot(st, (label, 0), (FLAG, 0))
-    if mode == "ideal":
-        return controlled_measure(st, (label, 0), (FLAG, 0))
+def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
+                 mode: str, seed: int, labeled_state: Callable[[], PureState],
+                 floor: float) -> MeasureResult | LabeledBranch:
+    """Shared final stage: flag ancilla, labeling CNOT, branch extraction.
+
+    ``amplitudes`` are the labeled branch (label |1>) at the strictly
+    increasing flat ``positions`` of ``layout``; the CNOT copies the label onto
+    a flag appended last, so a success is extracted from them alone at
+    ``2 * positions + 1``.  An empty branch, an ideal weight at most ``floor``
+    and a failed sampled draw leave the whole state, garbage included, as the
+    final state, so they run the dense sequence on ``labeled_state()``.
+    """
+    rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
+    meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes,
+                                  (FLAG, 0), rng)
+    if meas is not None and (rng is not None or meas.branch_weight > floor):
+        return meas
+    st = cnot(add_ancilla(labeled_state(), FLAG), (LABEL, 0), (FLAG, 0))
+    if rng is None:
+        return controlled_measure(st, (LABEL, 0), (FLAG, 0))
     return measure_sampled(st, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
 
 
@@ -248,13 +262,16 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     n_sum = encoded.state.layout.width("C")
     depth = n_sum + mcx_decomposition_count(n_sum).depth + 1
     labeled = _row_sum_labeled(encoded)
-    meas = _label_and_measure(labeled, LABEL, mode, seed)
+    layout = labeled.layout
+    positions = layout.indices_of({"R": np.arange(1 << layout.width("R")), "C": 0, LABEL: 1})
+    meas = _final_stage(layout, positions, labeled.amplitudes[positions], mode, seed,
+                        lambda: labeled, EMPTY_BRANCH_TOL)
     if meas.outcome != 1:
         return _report(meas, depth)
 
     recovered = float(np.sqrt(meas.branch_weight * (1 << n_sum)))
-    block, _, off = extract_payload(meas.post_state, ("R",))
-    result = _decoded_rows(block, encoded.rows, encoded.scale * recovered, off)
+    result = _decoded_rows(meas.amplitudes, encoded.rows, encoded.scale * recovered,
+                           _off_sector(meas.amplitudes))
     return _report(meas, depth, recovered, result)
 
 
@@ -352,11 +369,10 @@ def _closed_form_stage(
     ``registers`` precede the label; on the labeled branch those in ``fixed``
     hold that value and the rest (the payload) carry ``coeffs``, one axis
     each.  Success reports ``recover(sqrt(weight))`` and ``decode(block,
-    recovered)`` for the post-measurement payload ``block``, and keeps only
-    the branch the CNOT copied onto the flag (flat index ``2 * i + 1``).
-    Only "not-measured" (every coefficient 0) and a failed sampled draw,
-    whose final state holds the garbage, build the full state.  A nonzero
-    branch whose weight underflows raises :class:`PreparationError`.
+    recovered)`` for the post-measurement payload ``block``.  Only
+    "not-measured" (every coefficient 0) and a failed sampled draw build the
+    full state, garbage included.  A nonzero branch whose weight underflows
+    raises :class:`PreparationError`.
     """
     layout = RegisterLayout([*registers, (LABEL, 1)])
     payload = tuple(name for name, _ in registers if name not in fixed)
@@ -374,12 +390,10 @@ def _closed_form_stage(
     entries = dict(zip(map(tuple, keys), coeffs.reshape(-1).tolist()))  # C order of coeffs
     labeled = prepare_labeled_state(entries, layout, LABEL, 1.0 - total, stream(seed, 0),
                                     payload_registers=payload)
-    flagged = 2 * labeled.positions + 1
-    rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
-    meas = extract_labeled_branch(layout.extended(FLAG), flagged, labeled.coefficients,
-                                  (FLAG, 0), rng)
-    if meas is None:
-        return _report(_label_and_measure(labeled.state, LABEL, mode, seed), _STAGE_DEPTH)
+    meas = _final_stage(layout, labeled.positions, labeled.coefficients, mode, seed,
+                        lambda: labeled.state, 0.0)
+    if meas.outcome != 1:
+        return _report(meas, _STAGE_DEPTH)
     recovered = float(recover(np.sqrt(meas.branch_weight)))
     block = meas.amplitudes.reshape(coeffs.shape)
     return _report(meas, _STAGE_DEPTH, recovered, decode(block, recovered))

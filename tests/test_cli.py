@@ -124,6 +124,37 @@ def test_degenerate_inputs_exit_1(tmp_path, capsys):
     assert _run(capsys, ["rowsum", cancel])[0] == 1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "-0.5e-10"])
+def test_nonfinite_or_negative_tolerance_exits_2(tmp_path, capsys, tolerance):
+    # nan switched the residual check off (exit 0) and -1 failed every decode (exit 3).
+    path = _write(tmp_path, "a.json", [[2.0, 0.0], [0.5, 3.0]])
+    code, out = _run(capsys, ["inverse", path, f"--tolerance={tolerance}"])
+    assert code == 2
+    assert "input error" in out and "--tolerance" in out
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-10", "1e300"])
+def test_finite_nonnegative_tolerance_is_accepted(tmp_path, capsys, tolerance):
+    path = _write(tmp_path, "a.json", [[2.0, 0.0], [0.5, 3.0]])
+    assert _run(capsys, ["inverse", path, "--tolerance", tolerance])[0] == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
+    # -1 used to wrap to 2^64 - 1, and 2^64 to 0, each sharing that seed's stream.
+    path = _write(tmp_path, "a.json", [[1.0, 2.0], [3.0, 4.0]])
+    for argv in (["bench-measure", path, "--trials", "50"], ["rowsum", path, "--mode", "sampled"]):
+        code, out = _run(capsys, [*argv, f"--seed={seed}"])
+        assert code == 2
+        assert "input error" in out and "--seed" in out
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_seed_inside_u64_is_accepted(tmp_path, capsys, seed):
+    path = _write(tmp_path, "a.json", [[1.0, 2.0], [3.0, 4.0]])
+    assert _run(capsys, ["bench-measure", path, "--trials", "50", f"--seed={seed}"])[0] == 0
+
+
 def test_singular_inverse_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "sing.json", [[1.0, 2.0], [2.0, 4.0]])
     code, out = _run(capsys, ["inverse", path])

@@ -700,7 +700,7 @@ def test_decoded_sum_equals_eager_decode(shape):
     meas = _eager_add(a1, a2, "ideal", 0)
     joint = float(np.sqrt(np.linalg.norm(a1) ** 2 + np.linalg.norm(a2) ** 2))
     known_scale = joint * float(2.0 * np.sqrt(meas.branch_weight))
-    block, _, off = extract_payload(meas.post_state, ("row", "col"))
+    block, off = extract_payload(meas.post_state, ("row", "col"))
     window = block[: shape[0], : shape[1]] / 1.0
     keep = float(np.sum(np.abs(window) ** 2))
     assert report.result.residual == float(max(0.0, 1.0 - keep)) + off

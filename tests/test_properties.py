@@ -1,4 +1,4 @@
-"""Property-based checks of the state kernels, the encodings and the CLI's matrix I/O."""
+"""Property-based checks of the state kernels, the encodings, ``row_sum`` and the CLI's matrix I/O."""
 
 import json
 
@@ -8,19 +8,29 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlasim import (
+    EMPTY_BRANCH_TOL,
     RegisterLayout,
+    add_ancilla,
     apply_single,
+    cnot,
+    controlled_measure,
+    controlled_on_zero_flip,
     decode_rc,
     decode_rcm,
     encode_rc,
     encode_rcm,
     hadamard_register,
     hermitian_conjugate,
+    measure_sampled,
     random_state,
+    row_sum,
+    stream,
     swap_registers,
 )
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
+from qlasim.encode import extract_payload
 from qlasim.gates import _flip_where
+from qlasim.pipelines import FLAG, LABEL
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -138,6 +148,78 @@ def test_decode_inverts_encode_exactly_for_one_real_entry(shape, data, magnitude
     a[i, j] = -magnitude if negative else magnitude
     for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
         assert np.array_equal(decode(encode(a)).matrix, a)
+
+
+# --- row_sum against the dense flag/CNOT/measurement chain --------------------
+
+def _dense_row_sum(encoded, mode, seed):
+    """``row_sum``'s circuit on the full state: every gate, both ancillas, the
+    measurement and ``extract_payload``'s search; ``(measurement, decoded)``."""
+    st_ = hadamard_register(encoded.state, "C")
+    st_ = controlled_on_zero_flip(add_ancilla(st_, LABEL), "C", (LABEL, 0))
+    st_ = cnot(add_ancilla(st_, FLAG), (LABEL, 0), (FLAG, 0))
+    if mode == "ideal":
+        meas = controlled_measure(st_, (LABEL, 0), (FLAG, 0))
+    else:
+        meas = measure_sampled(st_, (FLAG, 0), stream(seed, 1 << 32))
+    if meas.outcome != 1:
+        return meas, None
+    recovered = float(np.sqrt(meas.branch_weight * (1 << encoded.state.layout.width("C"))))
+    block, off = extract_payload(meas.post_state, ("R",))
+    window = block[:encoded.rows]
+    nrm = float(np.linalg.norm(window))
+    direction = window / nrm if nrm else np.zeros_like(window)
+    residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + off
+    return meas, (recovered, direction * (encoded.scale * recovered), residual)
+
+
+@st.composite
+def row_sum_cases(draw):
+    """A matrix, a mode and a seed.  Each row's sum is cut to ``eps`` of itself,
+    so the labeled weight (about eps^2 / 2^width(C)) falls on either side of
+    ``EMPTY_BRANCH_TOL``; eps = 0 leaves rounding noise, not an exact zero."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    eps = draw(st.sampled_from([1.0, 0.0]) | st.floats(4.0, 10.0).map(lambda k: 10.0 ** -k))
+    if cols > 1:
+        a[:, 0] -= (1.0 - eps) * a.sum(axis=1)
+    mode = draw(st.sampled_from(["ideal", "sampled"]))
+    return a, mode, draw(st.integers(0, 2**64 - 1))
+
+
+_S = 1 / np.sqrt(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sum_cases())
+@example((np.array([[_S, -_S], [0.0, 0.0]]), "ideal", 0))  # acceptance criterion 5
+@example((np.array([[1.0, -1.0 + 4e-7]]), "ideal", 0))      # weight just above the floor
+@example((np.array([[1.0, -1.0 + 1e-7]]), "ideal", 0))      # weight just below it
+@example((np.array([[1.0, -1.0 + 1e-7]]), "sampled", 3))
+def test_row_sum_matches_the_dense_chain(case):
+    a, mode, seed = case
+    encoded = encode_rc(a)
+    report = row_sum(encoded, mode=mode, seed=seed)
+    meas, decoded = _dense_row_sum(encoded, mode, seed)
+    assert report.outcome == meas.outcome
+    assert np.float64(report.branch_weight).tobytes() == np.float64(meas.branch_weight).tobytes()
+    assert report.final_state.layout == meas.post_state.layout
+    assert report.final_state.amplitudes.tobytes() == meas.post_state.amplitudes.tobytes()
+    if decoded is None:
+        assert report.result is None and report.recovered_norm is None
+        return
+    recovered, matrix, residual = decoded
+    assert report.recovered_norm == recovered
+    assert report.result.matrix.tobytes() == matrix.tobytes()
+    assert report.result.residual == residual
+
+
+def test_row_sum_cases_straddle_the_empty_branch_floor():
+    weights = [_dense_row_sum(encode_rc([[1.0, -1.0 + d]]), "ideal", 0)[0].branch_weight
+               for d in (4e-7, 1e-7)]
+    assert weights[0] > EMPTY_BRANCH_TOL
+    assert weights[1] == 0.0  # at most the floor: "not-measured" reports weight 0
 
 
 # --- CLI matrix I/O against the per-entry reader and the recursive writer ---
