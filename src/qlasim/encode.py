@@ -142,11 +142,14 @@ def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarra
     layout = state.layout
     payload = list(payload)
     payload_axes = [ax for name in payload for ax in layout.axes(name)]
+
     a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
-    flat = a.reshape(1 << len(payload_axes), -1)
+    front = 1 << len(payload_axes)
+    flat = a.reshape(front, -1)
     mass = np.sum(np.abs(flat) ** 2, axis=0)
     k = int(np.argmax(mass))
     off = float(max(0.0, 1.0 - mass[k]))
+
     block = flat[:, k].copy()
     return block.reshape([1 << layout.width(nm) for nm in payload]), off
 

@@ -220,12 +220,12 @@ def _decoded_block(block: np.ndarray, crop: tuple[int, ...], known_scale: float,
                          residual=residual)
 
 
-def _decoded_rows(block: np.ndarray, rows: int, known_scale: float, off: float) -> DecodedResult:
+def _decoded_rows(block: np.ndarray, rows: int, known_scale: float) -> DecodedResult:
     """First ``rows`` entries of a measured vector, scaled; all-zero tolerated."""
     window = block[:rows]
     nrm = float(np.linalg.norm(window))
     direction = window / nrm if nrm else np.zeros_like(window)
-    residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + off
+    residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + _off_sector(block)
     return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
                          residual=residual)
 
@@ -270,8 +270,7 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
         return _report(meas, depth)
 
     recovered = float(np.sqrt(meas.branch_weight * (1 << n_sum)))
-    result = _decoded_rows(meas.amplitudes, encoded.rows, encoded.scale * recovered,
-                           _off_sector(meas.amplitudes))
+    result = _decoded_rows(meas.amplitudes, encoded.rows, encoded.scale * recovered)
     return _report(meas, depth, recovered, result)
 
 
@@ -577,8 +576,7 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     return _closed_form_stage(
         [("row", wr), ("col", k), ("rhs", k), ("aux", 1)], {"col": 0, "rhs": 0, "aux": 0},
         contraction / factor, mode, seed, recover=lambda root: root * factor,
-        decode=lambda block, recovered: _decoded_rows(block, m.shape[0], sa * sb * recovered,
-                                                      _off_sector(block)))
+        decode=lambda block, recovered: _decoded_rows(block, m.shape[0], sa * sb * recovered))
 
 
 # ---------------------------------------------------------------------------
