@@ -113,7 +113,7 @@ def encode_rc(matrix) -> EncodedMatrix:
     wr, wc = _reg_width(rows), _reg_width(cols)
     b, divisor, scale = _norm_scaling(a)
     padded = np.zeros((1 << wr, 1 << wc), dtype=np.complex128)
-    padded[:rows, :cols] = b / divisor
+    np.divide(b, divisor, out=padded[:rows, :cols])
     layout = RegisterLayout([("R", wr), ("C", wc)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RC", rows, cols, scale)
 
@@ -125,8 +125,8 @@ def encode_rcm(matrix) -> EncodedMatrix:
     wr, wc = _reg_width(rows), _reg_width(cols)
     b, divisor, scale = _norm_scaling(a)
     padded = np.zeros((1 << wr, 1 << wc, 2), dtype=np.complex128)
-    padded[:rows, :cols, 0] = b.real / divisor
-    padded[:rows, :cols, 1] = b.imag / divisor
+    np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
+    np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
     layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 
@@ -137,11 +137,19 @@ def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarra
 
     Returns ``(block, off_sector_weight)``.  ``block`` has one axis per
     payload register, in the order given; ``off_sector_weight`` is the
-    amplitude mass outside the dominant assignment.
+    amplitude mass outside the dominant assignment.  When the payload is
+    every register in layout order there is nothing to search: ``block`` is a
+    read-only view of the amplitudes.
     """
     layout = state.layout
     payload = list(payload)
     payload_axes = [ax for name in payload for ax in layout.axes(name)]
+    shape = [1 << layout.width(nm) for nm in payload]
+    if payload_axes == list(range(state.n_qubits)):
+        # The (2^n, 1) reduction below sums its one column pairwise, like this.
+        mass = np.abs(state.amplitudes)
+        mass *= mass
+        return state.amplitudes.reshape(shape), float(max(0.0, 1.0 - np.sum(mass)))
 
     a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
     front = 1 << len(payload_axes)
@@ -150,16 +158,18 @@ def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarra
     k = int(np.argmax(mass))
     off = float(max(0.0, 1.0 - mass[k]))
 
-    block = flat[:, k].copy()
-    return block.reshape([1 << layout.width(nm) for nm in payload]), off
+    return flat[:, k].copy().reshape(shape), off
 
 
 def _payload_mass(block: np.ndarray) -> float:
-    """Squared norm of one payload block, summed as :func:`extract_payload` sums it.
+    """Squared norm of one payload block, summed as :func:`extract_payload`
+    sums it when some register lies outside the payload.
 
-    ``extract_payload`` reduces over the payload axes of a C-ordered
-    ``(payload, rest)`` array, which adds the entries of a column one after
-    another in payload C order; a running sum in that order gives its bits.
+    There ``extract_payload`` reduces over the payload axes of a C-ordered
+    ``(payload, rest)`` array with ``rest > 1``, which adds the entries of a
+    column one after another in payload C order; a running sum in that order
+    gives its bits.  With every register in the payload numpy sums the one
+    column pairwise instead, and this sum has other bits.
     """
     return float(np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1])
 
@@ -176,22 +186,27 @@ def _resolve_source(source, rows, cols, scale, scheme: str):
         state = source
         if rows is None or cols is None:
             raise ValueError("rows and cols are required when decoding a bare state")
-    return state, int(rows), int(cols), scale
+    rows, cols = int(rows), int(cols)
+    for name, extent in (("R", rows), ("C", cols)):
+        limit = 1 << state.layout.width(name)
+        if not 1 <= extent <= limit:
+            raise ValueError(f"{name} extent {extent} outside [1, {limit}]")
+    return state, rows, cols, scale
 
 
-def _finish(block_entries: np.ndarray, rows: int, cols: int, scale, off: float) -> DecodedResult:
+def _finish(cropped: np.ndarray, scale, off: float) -> DecodedResult:
     if off > SECTOR_TOL:
         raise NonProductSectorError(
             f"non-payload registers are not in a product basis state "
             f"(off-sector mass {off:.3e})"
         )
-    cropped = block_entries[:rows, :cols]
     keep = float(np.sum(np.abs(cropped) ** 2))
     residual = float(max(0.0, 1.0 - keep))
     if keep <= 0.0:
         raise NonProductSectorError("no amplitude mass inside the decoded window")
-    unit = cropped / np.sqrt(keep)
-    matrix = unit * scale if scale is not None else unit
+    matrix = cropped / np.sqrt(keep)
+    if scale is not None:
+        matrix *= scale
     return DecodedResult(matrix=matrix, known_scale=scale, residual=residual)
 
 
@@ -204,7 +219,7 @@ def decode_rc(source, rows: int | None = None, cols: int | None = None,
     """
     state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RC")
     block, off = extract_payload(state, ("R", "C"))
-    return _finish(block, rows, cols, scale, off)
+    return _finish(block[:rows, :cols], scale, off)
 
 
 def decode_rcm(source, rows: int | None = None, cols: int | None = None,
@@ -212,5 +227,5 @@ def decode_rcm(source, rows: int | None = None, cols: int | None = None,
     """Recover a complex matrix from an RCM encoding."""
     state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RCM")
     block, off = extract_payload(state, ("R", "C", "M"))
-    entries = block[:, :, 0] + 1j * block[:, :, 1]
-    return _finish(entries, rows, cols, scale, off)
+    cropped = block[:rows, :cols]
+    return _finish(cropped[:, :, 0] + 1j * cropped[:, :, 1], scale, off)

@@ -37,11 +37,17 @@ def hadamard_register(state: PureState, register_name: str) -> PureState:
 
 
 def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:
-    """Pauli ``gate`` in {"X", "Z"} on one qubit."""
+    """Pauli ``gate`` in {"X", "Z"} on one qubit, exactly: X copies the two
+    halves along the qubit exchanged, Z negates the bit-1 half of a copy."""
     if gate not in PAULI:
         raise ValueError(f"unsupported gate {gate!r}; expected one of {sorted(PAULI)}")
     position = state.layout.qubit_position(qubit)
-    amps = _apply_1q(state.amplitudes, state.n_qubits, position, PAULI[gate])
+    a = state.amplitudes.reshape(1 << position, 2, -1)
+    if gate == "X":
+        amps = a[:, ::-1].copy()
+    else:
+        amps = a.copy()
+        np.negative(amps[:, 1], out=amps[:, 1])
     return PureState(state.layout, amps, _adopt=True)
 
 
@@ -53,11 +59,14 @@ def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
     wa, wb = layout.width(name_a), layout.width(name_b)
     if wa != wb:
         raise ValueError(f"width mismatch: {name_a!r} has {wa} qubits, {name_b!r} has {wb}")
-    n = state.n_qubits
-    axes = list(range(n))
-    for pa, pb in zip(layout.axes(name_a), layout.axes(name_b)):
-        axes[pa], axes[pb] = axes[pb], axes[pa]
-    amps = np.transpose(state.tensor_view(), axes).reshape(-1)  # reshape copies
+    # One axis per register up to the later of the two; the qubits after it
+    # move together, so they are one opaque element of 16 << trailing bytes.
+    ia, ib = sorted((layout.names.index(name_a), layout.names.index(name_b)))
+    head = layout.registers[: ib + 1]
+    trailing = state.n_qubits - sum(w for _, w in head)
+    element = np.dtype((np.void, 16 << trailing))
+    a = state.amplitudes.view(element).reshape([1 << w for _, w in head])
+    amps = a.swapaxes(ia, ib).copy().view(np.complex128)
     return PureState(layout, amps, _adopt=True)
 
 

@@ -9,7 +9,9 @@ from qlasim import (
     decode_rcm,
     encode_rc,
     encode_rcm,
+    extract_payload,
 )
+from qlasim.encode import _payload_mass
 
 
 def _random_matrix(rng, rows, cols):
@@ -173,3 +175,36 @@ def test_decode_requires_dims_for_bare_state():
 def test_decode_scheme_mismatch():
     with pytest.raises(ValueError, match="scheme"):
         decode_rcm(encode_rc([[1.0]]))
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 3), (3, 5), (0, 3), (3, 0), (-1, 3), (3, -1)])
+def test_decode_rejects_dimensions_outside_the_registers(rows, cols):
+    # A 3x3 matrix pads to 4x4: a larger crop would return the padding and a
+    # negative one would drop trailing entries without a word.
+    a = _random_matrix(np.random.default_rng(14), 3, 3)
+    for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
+        enc = encode(a)
+        with pytest.raises(ValueError, match="outside"):
+            decode(enc, rows=rows, cols=cols)
+        with pytest.raises(ValueError, match="outside"):
+            decode(enc.state, rows=rows, cols=cols)
+
+
+def test_off_sector_mass_summation_order():
+    # With a register left outside the payload, extract_payload adds each
+    # column's entries one after another, as _payload_mass does; with every
+    # register in the payload the one column is a contiguous run, which numpy
+    # sums pairwise, as np.sum over the amplitudes does.
+    rng = np.random.default_rng(15)
+    for n in range(1, 15):
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps /= np.linalg.norm(amps)
+        state = PureState(RegisterLayout([("P", n)]), amps)
+        block, off = extract_payload(state, ["P"])
+        assert off == max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+
+        extended = np.zeros((1 << n, 2), dtype=complex)
+        extended[:, 1] = amps
+        state = PureState(RegisterLayout([("P", n), ("A", 1)]), extended)
+        block, off = extract_payload(state, ["P"])
+        assert off == max(0.0, 1.0 - _payload_mass(block))

@@ -1,4 +1,4 @@
-"""The state kernels against the moveaxis/kron/copy-and-zero forms they replaced.
+"""The state kernels against the moveaxis/kron/copy-and-zero/transpose forms they replaced.
 
 The references below are the earlier implementations, kept as the oracle:
 every output must be equal value for value (``np.array_equal``, which does
@@ -24,6 +24,7 @@ from qlasim import (
     measure_sampled,
     postselect,
     stream,
+    swap_registers,
 )
 from qlasim.gates import PAULI, _H, _apply_1q, _flip_where
 from qlasim.measure import _sector, _sparse_pairwise_sum, extract_labeled_branch
@@ -88,6 +89,56 @@ def test_public_gates_match_reference_kernel():
     for gate in ("X", "Z"):
         got = apply_single(state, ("M", 0), gate).amplitudes
         assert np.array_equal(got, _apply_1q_reference(state.amplitudes, 8, 7, PAULI[gate]))
+
+
+def test_pauli_gates_match_reference_kernel_at_every_position():
+    for amps, n in _inputs():
+        state = PureState(RegisterLayout([("Q", n)]), amps)
+        for position in range(n):
+            for gate in ("X", "Z"):
+                got = apply_single(state, ("Q", position), gate).amplitudes
+                want = _apply_1q_reference(amps, n, position, PAULI[gate])
+                assert np.array_equal(got, want), (gate, n, position)
+
+
+def _swap_reference(state, name_a, name_b):
+    layout, n = state.layout, state.n_qubits
+    axes = list(range(n))
+    for pa, pb in zip(layout.axes(name_a), layout.axes(name_b)):
+        axes[pa], axes[pb] = axes[pb], axes[pa]
+    return np.transpose(state.tensor_view(), axes).reshape(-1)
+
+
+def _swap_cases():
+    """(state, name_a, name_b) over layouts of 2 to 5 registers, in both orders."""
+    rng = np.random.default_rng(31)
+    for n_registers in range(2, 6):
+        for _ in range(12):
+            widths = rng.integers(1, 4, n_registers)
+            i, j = sorted(rng.choice(n_registers, 2, replace=False))
+            widths[j] = widths[i]
+            if widths.sum() > 13:
+                continue
+            layout = RegisterLayout([(f"r{k}", int(w)) for k, w in enumerate(widths)])
+            state = PureState(layout, _random_amps(rng, int(widths.sum()), 0.3))
+            yield state, f"r{i}", f"r{j}"
+            yield state, f"r{j}", f"r{i}"
+    # Neighbours, registers in between, and the last register swapped.
+    layout = RegisterLayout([("a", 2), ("b", 2), ("c", 1), ("d", 3), ("e", 2)])
+    state = PureState(layout, _random_amps(rng, 10, 0.3))
+    for name_a, name_b in [("a", "b"), ("b", "a"), ("a", "e"), ("e", "a"), ("b", "e")]:
+        yield state, name_a, name_b
+
+
+def test_swap_registers_matches_axis_transpose_reference():
+    # A swap permutes amplitudes, so the outputs agree byte for byte.
+    cases = list(_swap_cases())
+    assert len(cases) > 40
+    assert any(state.layout.names[-1] in (a, b) for state, a, b in cases)
+    for state, name_a, name_b in cases:
+        got = swap_registers(state, name_a, name_b).amplitudes
+        assert got.tobytes() == _swap_reference(state, name_a, name_b).tobytes(), (
+            state.layout, name_a, name_b)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])

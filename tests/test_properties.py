@@ -1,4 +1,5 @@
-"""Property-based checks of the state kernels, the encodings, ``row_sum`` and the CLI's matrix I/O."""
+"""Property-based checks of the state kernels, the encodings, ``row_sum``, Hermitian
+conjugation and the CLI's matrix I/O."""
 
 import json
 
@@ -28,8 +29,8 @@ from qlasim import (
     swap_registers,
 )
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
-from qlasim.encode import extract_payload
-from qlasim.gates import _flip_where
+from qlasim.encode import _norm_scaling, _reg_width, extract_payload
+from qlasim.gates import PAULI, _apply_1q, _flip_where
 from qlasim.pipelines import FLAG, LABEL
 
 NORM_DRIFT = 1e-12
@@ -220,6 +221,64 @@ def test_row_sum_cases_straddle_the_empty_branch_floor():
                for d in (4e-7, 1e-7)]
     assert weights[0] > EMPTY_BRANCH_TOL
     assert weights[1] == 0.0  # at most the floor: "not-measured" reports weight 0
+
+
+# --- Hermitian conjugation against the BLAS-Z, n-axis swap, search chain ----
+
+def _conjugate_decode_reference(a):
+    """``decode_rcm(hermitian_conjugate(encode_rcm(a)))`` as first written:
+    the square-padded encoding, Z as a BLAS product, the swap as a transpose
+    over every qubit axis and ``extract_payload``'s search over the one
+    column of a ``(2^n, 1)`` array; ``(matrix, residual)``."""
+    rows, cols = a.shape
+    b, divisor, scale = _norm_scaling(a)
+    w = max(_reg_width(rows), _reg_width(cols))
+    n = 2 * w + 1
+    amps = np.zeros((1 << w, 1 << w, 2), dtype=np.complex128)
+    amps[:rows, :cols, 0] = b.real / divisor
+    amps[:rows, :cols, 1] = b.imag / divisor
+    amps = _apply_1q(amps.reshape(-1), n, n - 1, PAULI["Z"])
+    axes = [*range(w, 2 * w), *range(w), n - 1]
+    flat = np.transpose(amps.reshape([2] * n), axes).reshape(1 << n, -1)
+    mass = np.sum(np.abs(flat) ** 2, axis=0)
+    assert 1.0 - mass[int(np.argmax(mass))] <= 1e-8
+    block = flat[:, 0].copy().reshape(1 << w, 1 << w, 2)
+    entries = (block[:, :, 0] + 1j * block[:, :, 1])[:cols, :rows]
+    keep = float(np.sum(np.abs(entries) ** 2))
+    return entries / np.sqrt(keep) * scale, float(max(0.0, 1.0 - keep))
+
+
+@st.composite
+def conjugation_inputs(draw):
+    """Complex, pure-real or pure-imaginary matrices up to 64x64 holding signed
+    zeros, scaled by 1e-150 to 1e150."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["complex", "real", "imaginary"]))
+    parts = rng.standard_normal((2, rows, cols))
+    if kind != "complex":
+        parts[1 if kind == "real" else 0] = 0.0
+    zeros = rng.random(parts.shape) < draw(st.floats(0.0, 0.9))
+    parts[zeros] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    a = np.empty((rows, cols), dtype=np.complex128)
+    a.real, a.imag = parts
+    if not np.any(a):
+        a[-1, -1] = 1.0 if kind == "real" else -1j
+    return a * 10.0 ** draw(st.integers(-150, 150))
+
+
+@settings(max_examples=120, deadline=None)
+@given(conjugation_inputs())
+@example(np.array([[1j]]))
+@example(np.array([[complex(-0.0, 0.0), 2.0], [complex(0.0, -0.0), -3j]]))
+@example(np.array([[complex(-0.0, -0.0), 1e-200, complex(0.0, -0.0)]]))
+def test_hermitian_conjugation_decodes_as_the_reference_chain(a):
+    got = decode_rcm(hermitian_conjugate(encode_rcm(a)))
+    matrix, residual = _conjugate_decode_reference(a)
+    assert got.matrix.shape == (a.shape[1], a.shape[0])
+    assert got.matrix.tobytes() == matrix.tobytes()
+    assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
 
 
 # --- CLI matrix I/O against the per-entry reader and the recursive writer ---
