@@ -137,28 +137,24 @@ def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarra
 
     Returns ``(block, off_sector_weight)``.  ``block`` has one axis per
     payload register, in the order given; ``off_sector_weight`` is the
-    amplitude mass outside the dominant assignment.  When the payload is
-    every register in layout order there is nothing to search: ``block`` is a
-    read-only view of the amplitudes.
+    amplitude mass outside the dominant assignment.  ``block`` may be a
+    read-only view of the amplitudes (it is one when the payload is every
+    register in layout order); callers copy before writing.
     """
     layout = state.layout
     payload = list(payload)
     payload_axes = [ax for name in payload for ax in layout.axes(name)]
-    shape = [1 << layout.width(nm) for nm in payload]
-    if payload_axes == list(range(state.n_qubits)):
-        # The (2^n, 1) reduction below sums its one column pairwise, like this.
-        mass = np.abs(state.amplitudes)
-        mass *= mass
-        return state.amplitudes.reshape(shape), float(max(0.0, 1.0 - np.sum(mass)))
 
     a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
     front = 1 << len(payload_axes)
     flat = a.reshape(front, -1)
-    mass = np.sum(np.abs(flat) ** 2, axis=0)
+    mass = np.abs(flat)
+    mass *= mass
+    mass = mass.sum(axis=0)
     k = int(np.argmax(mass))
     off = float(max(0.0, 1.0 - mass[k]))
 
-    return flat[:, k].copy().reshape(shape), off
+    return flat[:, k].reshape([1 << layout.width(nm) for nm in payload]), off
 
 
 def _payload_mass(block: np.ndarray) -> float:

@@ -193,15 +193,15 @@ def test_decode_rejects_dimensions_outside_the_registers(rows, cols):
 def test_off_sector_mass_summation_order():
     # With a register left outside the payload, extract_payload adds each
     # column's entries one after another, as _payload_mass does; with every
-    # register in the payload the one column is a contiguous run, which numpy
-    # sums pairwise, as np.sum over the amplitudes does.
+    # register in the payload the (2^n, 1) reduction sums its one column
+    # pairwise, as the earlier search-and-copy decoder did.
     rng = np.random.default_rng(15)
     for n in range(1, 15):
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         amps /= np.linalg.norm(amps)
         state = PureState(RegisterLayout([("P", n)]), amps)
         block, off = extract_payload(state, ["P"])
-        assert off == max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+        assert off == max(0.0, 1.0 - float(np.sum(np.abs(amps.reshape(-1, 1)) ** 2, axis=0)[0]))
 
         extended = np.zeros((1 << n, 2), dtype=complex)
         extended[:, 1] = amps
