@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import PreparationError
 from .states import PureState, RegisterLayout
 
 # Mass allowed outside the dominant basis assignment of non-payload registers.
@@ -72,37 +73,38 @@ def _reg_width(extent: int) -> int:
 
 
 def _checked(matrix) -> np.ndarray:
+    """``matrix`` as a complex rank-2 array of finite entries (a vector as one row)."""
     a = np.atleast_2d(np.asarray(matrix, dtype=np.complex128))
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of rank {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if not np.any(a):
-        raise ValueError("cannot encode an all-zero matrix")
     return a
 
 
-def _norm_scaling(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """``(b, divisor, scale)``: ``b / divisor`` has unit norm, ``scale`` is ``|a|_F``.
+def _norm_scaling(a: np.ndarray, norm=np.linalg.norm) -> tuple[np.ndarray, float, float]:
+    """``(b, divisor, scale)``: ``b / divisor`` has unit norm, ``scale`` is ``norm(a)``.
 
     While the sum of squares stays in float64's normal range this is
-    ``(a, s, s)`` with ``s = np.linalg.norm(a)``, so the encodings keep their
-    bits.  Past it (the norm reads ``inf``, or at most ``sqrt(tiny) = 2^-511``,
-    where the squares have lost their precision) ``b`` is ``a`` scaled by the
-    power of two that brings ``max|a_ij|`` into [0.5, 1), which is exact.
+    ``(a, s, s)`` with ``s = norm(a)``, so callers keep their bits.  Past it
+    (the norm reads ``inf``, or at most ``sqrt(tiny) = 2^-511``, where the
+    squares have lost their precision) ``b`` is ``a`` scaled by the power of
+    two that brings ``max|a_ij|`` into [0.5, 1), which is exact.  An all-zero
+    ``a`` gives ``(a, 0.0, 0.0)``; a norm float64 cannot hold raises
+    :class:`~qlasim.linalg.PreparationError`.
     """
     with np.errstate(over="ignore", under="ignore"):
-        scale = float(np.linalg.norm(a))
+        scale = float(norm(a))
     if _SQRT_TINY < scale < np.inf:
         return a, scale, scale
     _, exponent = np.frexp(np.max(np.abs(a)))
     b = np.empty_like(a)
     b.real, b.imag = np.ldexp(a.real, -exponent), np.ldexp(a.imag, -exponent)
-    divisor = float(np.linalg.norm(b))
+    divisor = float(norm(b))
     with np.errstate(over="ignore"):
         scale = float(np.ldexp(divisor, exponent))
     if scale == np.inf:
-        raise ValueError("Frobenius norm exceeds the float64 range")
+        raise PreparationError("Frobenius norm exceeds the float64 range")
     return b, divisor, scale
 
 
@@ -112,6 +114,8 @@ def encode_rc(matrix) -> EncodedMatrix:
     rows, cols = a.shape
     wr, wc = _reg_width(rows), _reg_width(cols)
     b, divisor, scale = _norm_scaling(a)
+    if not scale:
+        raise ValueError("cannot encode an all-zero matrix")
     padded = np.zeros((1 << wr, 1 << wc), dtype=np.complex128)
     np.divide(b, divisor, out=padded[:rows, :cols])
     layout = RegisterLayout([("R", wr), ("C", wc)])
@@ -124,6 +128,8 @@ def encode_rcm(matrix) -> EncodedMatrix:
     rows, cols = a.shape
     wr, wc = _reg_width(rows), _reg_width(cols)
     b, divisor, scale = _norm_scaling(a)
+    if not scale:
+        raise ValueError("cannot encode an all-zero matrix")
     padded = np.zeros((1 << wr, 1 << wc, 2), dtype=np.complex128)
     np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
     np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .encode import DecodedResult, EncodedMatrix, _payload_mass, _reg_width
+from .encode import (DecodedResult, EncodedMatrix, _checked, _norm_scaling, _payload_mass,
+                     _reg_width)
 from .gates import (
     apply_single,
     cnot,
@@ -61,6 +62,7 @@ PAYLOAD_EXCESS_TOL = 1e-12
 _MODES = ("ideal", "sampled")
 _SAMPLE_STREAM = 1 << 32  # substream reserved for the sampled-mode draw
 _STAGE_DEPTH = 1  # a closed-form end stage applies a single labeling CNOT
+CONDITION_LIMIT = 1e8  # matrix_inverse refuses a condition estimate at or above this
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +77,6 @@ class LabeledState:
 
     layout: RegisterLayout
     label_ancilla: str
-    payload_registers: tuple[str, ...]
     garbage_weight: float
     positions: np.ndarray
     coefficients: np.ndarray
@@ -127,7 +128,6 @@ def prepare_labeled_state(
     label_ancilla: str,
     garbage_weight: float,
     rng,
-    payload_registers: Sequence[str] | None = None,
 ) -> LabeledState:
     """Initialize a labeled state from explicit branch coefficients.
 
@@ -163,9 +163,8 @@ def prepare_labeled_state(
             f"payload weight {total!r} + garbage weight {garbage_weight!r} must sum to 1"
         )
 
-    payload_registers = tuple(other if payload_registers is None else payload_registers)
-    return LabeledState(layout, label_ancilla, payload_registers, garbage_weight, positions,
-                        coeffs, garbage_rng=rng)
+    return LabeledState(layout, label_ancilla, garbage_weight, positions, coeffs,
+                        garbage_rng=rng)
 
 
 def _check_mode(mode: str) -> None:
@@ -209,15 +208,22 @@ def _off_sector(block: np.ndarray) -> float:
     return float(max(0.0, 1.0 - _payload_mass(block)))
 
 
+def _scaled(direction: np.ndarray, known_scale: float, residual: float) -> DecodedResult:
+    """``direction`` at ``known_scale``; :class:`PreparationError` where float64
+    cannot hold that scale (it over- or underflowed on the way)."""
+    if not 0.0 < known_scale < math.inf:
+        raise PreparationError("the result's norm is outside float64's range")
+    return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
+                         residual=residual)
+
+
 def _decoded_block(block: np.ndarray, crop: tuple[int, ...], known_scale: float,
                    phase_fix: complex = 1.0) -> DecodedResult:
     """Crop, phase-correct and rescale a measured payload block."""
     window = block[tuple(slice(0, c) for c in crop)] / phase_fix
     keep = float(np.sum(np.abs(window) ** 2))
     residual = float(max(0.0, 1.0 - keep)) + _off_sector(block)
-    direction = window / np.sqrt(keep)
-    return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
-                         residual=residual)
+    return _scaled(window / np.sqrt(keep), known_scale, residual)
 
 
 def _decoded_rows(block: np.ndarray, rows: int, known_scale: float) -> DecodedResult:
@@ -226,8 +232,7 @@ def _decoded_rows(block: np.ndarray, rows: int, known_scale: float) -> DecodedRe
     nrm = float(np.linalg.norm(window))
     direction = window / nrm if nrm else np.zeros_like(window)
     residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + _off_sector(block)
-    return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
-                         residual=residual)
+    return _scaled(direction, known_scale, residual)
 
 
 def _phase(block: np.ndarray) -> complex:
@@ -312,29 +317,16 @@ def hermitian_conjugate(encoded: EncodedMatrix) -> EncodedMatrix:
 # Matrix-algebra end stages prepared from closed-form coefficients.
 # ---------------------------------------------------------------------------
 
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if v.size == 0:
-        raise ValueError("empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
-def _matrix(a) -> np.ndarray:
-    return np.atleast_2d(np.asarray(a, dtype=np.complex128))
-
-
-def _square_matrix(a) -> np.ndarray:
-    m = _matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
-    s = float(np.linalg.norm(a))
-    return (a / s if s > 0 else np.zeros_like(a)), s
+    """``(a / |a|_F, |a|_F)`` over float64's whole range; ``(a, 0.0)`` for zero."""
+    b, divisor, scale = _norm_scaling(a)
+    return (b / divisor if scale else b), scale
+
+
+def _pair_norm(pair: np.ndarray) -> float:
+    """sqrt(|pair[0]|_F^2 + |pair[1]|_F^2) from the two norms; the norm of the
+    stacked pair sums in another order, which would move the pinned ``add`` bits."""
+    return np.sqrt(np.linalg.norm(pair[0]) ** 2 + np.linalg.norm(pair[1]) ** 2)
 
 
 def _pad2(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -387,8 +379,7 @@ def _closed_form_stage(
     keys = np.stack([np.broadcast_to(values[name], coeffs.shape).reshape(-1)
                      for name, _ in registers], axis=-1).tolist()
     entries = dict(zip(map(tuple, keys), coeffs.reshape(-1).tolist()))  # C order of coeffs
-    labeled = prepare_labeled_state(entries, layout, LABEL, 1.0 - total, stream(seed, 0),
-                                    payload_registers=payload)
+    labeled = prepare_labeled_state(entries, layout, LABEL, 1.0 - total, stream(seed, 0))
     meas = _final_stage(layout, labeled.positions, labeled.coefficients, mode, seed,
                         lambda: labeled.state, 0.0)
     if meas.outcome != 1:
@@ -407,7 +398,7 @@ def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> Pi
     magnitude of the inner product is recovered from the branch weight.
     """
     _check_mode(mode)
-    v1, v2 = _as_vector(psi1), _as_vector(psi2)
+    v1, v2 = _checked(psi1).reshape(-1), _checked(psi2).reshape(-1)
     if v1.size != v2.size:
         raise ValueError(f"length mismatch: {v1.size} vs {v2.size}")
     n = _reg_width(v1.size)
@@ -427,21 +418,22 @@ def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
                prep_scale: float = 1.0) -> PipelineReport:
     """Entrywise sum of two equal-shape matrices, up to normalization.
 
-    Both inputs share one preparation scale (the joint Frobenius norm), so
-    the labeled coefficients are proportional to the true sum; the output
-    direction matches (a1 + a2) and its magnitude is recovered from the
-    branch weight.  a2 = -a1 leaves no labeled branch ("not-measured").
+    Both inputs share one preparation scale (the joint Frobenius norm, with
+    one power of two for both), so the labeled coefficients are proportional
+    to the true sum; the output direction matches (a1 + a2) and its
+    magnitude is recovered from the branch weight.  a2 = -a1 leaves no
+    labeled branch ("not-measured").
     """
     _check_mode(mode)
-    m1, m2 = _matrix(a1), _matrix(a2)
+    m1, m2 = _checked(a1), _checked(a2)
     if m1.shape != m2.shape:
         raise ValueError(f"shape mismatch: {m1.shape} vs {m2.shape}")
     rows, cols = m1.shape
-    joint = float(np.sqrt(np.linalg.norm(m1) ** 2 + np.linalg.norm(m2) ** 2))
+    pair, divisor, joint = _norm_scaling(np.stack([m1, m2]), _pair_norm)
     if joint == 0.0:
         raise ValueError("cannot add two all-zero matrices")
     wr, wc = _reg_width(rows), _reg_width(cols)
-    summed = _pad2((m1 + m2) / joint, (1 << wr, 1 << wc))
+    summed = _pad2((pair[0] + pair[1]) / divisor, (1 << wr, 1 << wc))
 
     return _closed_form_stage(
         [("row", wr), ("col", wc), ("aux1", 1), ("row2", wr), ("col2", wc), ("aux2", 1),
@@ -460,7 +452,7 @@ def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
     (e.g. nilpotent factors) leaves no labeled branch.
     """
     _check_mode(mode)
-    m1, m2 = _matrix(a1), _matrix(a2)
+    m1, m2 = _checked(a1), _checked(a2)
     if m1.shape[1] != m2.shape[0]:
         raise ValueError(f"incompatible shapes for product: {m1.shape} and {m2.shape}")
     n_rows, n_cols = m1.shape[0], m2.shape[1]
@@ -493,7 +485,7 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
     Raises :class:`PreparationError` where float64 cannot hold the branch.
     """
     _check_mode(mode)
-    m = _square_matrix(a)
+    m = _checked(a)
     if scale_exponent is None:
         scale_exponent = (1 << _reg_width(m.shape[0])) ** 2
     d = linalg.det_lu(m)
@@ -515,8 +507,7 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
 
 
 def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
-                   scale_exponent: float | None = None,
-                   condition_limit: float = 1e8) -> PipelineReport:
+                   scale_exponent: float | None = None) -> PipelineReport:
     """Inverse of a well-conditioned square matrix, up to normalization.
 
     The labeled coefficients are -det(a) * inv(a)[j, i] / 2^(e/2) at row j,
@@ -527,17 +518,17 @@ def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
     its Frobenius norm is recovered from the branch weight.
     """
     _check_mode(mode)
-    m = _square_matrix(a)
+    m = _checked(a)
     report = linalg.inverse_gj(m)
-    if report.condition_estimate >= condition_limit:
+    if report.condition_estimate >= CONDITION_LIMIT:
         raise linalg.SingularMatrixError(
-            f"condition estimate {report.condition_estimate:.3e} exceeds {condition_limit:.1e}"
+            f"condition estimate {report.condition_estimate:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     inv = report.value
     d = linalg.det_lu(m)
     if d == 0:
         raise linalg.SingularMatrixError("determinant vanished within pivot tolerance")
-    magnitude = float(abs(d) * np.linalg.norm(inv))
+    magnitude = abs(d) * _norm_scaling(inv)[2]
     if scale_exponent is None:
         # smallest even headroom keeping the labeled weight in [1/4, 1)
         scale_exponent = 2.0 * (np.floor(np.log2(magnitude)) + 1.0)
@@ -560,8 +551,8 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     An orthogonal pair (a @ b = 0) leaves no labeled branch.
     """
     _check_mode(mode)
-    m = _matrix(a)
-    v = _as_vector(b)
+    m = _checked(a)
+    v = _checked(b).reshape(-1)
     if m.shape[1] != v.size:
         raise ValueError(f"incompatible shapes for contraction: {m.shape} and {v.shape}")
     mn, sa = _normalized(m)

@@ -179,6 +179,41 @@ def test_underflowing_determinant_exits_3(tmp_path, capsys):
         assert "underflow" in out
 
 
+def test_rowsum_past_float64_exits_3(tmp_path, capsys):
+    # The row sum 2e308 overflows; this exited 0 printing "data":[[inf,nan]].
+    path = _write(tmp_path, "huge.json", [[1e308, 1e308]])
+    code, out = _run(capsys, ["rowsum", path, "--output", "json"])
+    assert code == 3
+    assert "numerical failure" in out
+    assert "inf" not in out and "nan" not in out
+
+
+def test_add_near_1e300_exits_0(tmp_path, capsys):
+    # The squared norms overflowed: "labeled branch empty" (exit 1).
+    path = _write(tmp_path, "big.json", [[1e300, 1e300]])
+    code, out = _run(capsys, ["add", path, path, "--output", "json"])
+    assert code == 0
+    data = np.array(json.loads(out)["result"]["data"])
+    np.testing.assert_allclose(data, [[2e300, 0.0], [2e300, 0.0]], rtol=1e-12)
+
+
+def test_mul_past_float64_exits_3(tmp_path, capsys):
+    # The product 1e400 overflows; this was "labeled branch empty" (exit 1).
+    path = _write(tmp_path, "big.json", [[1e200]])
+    code, out = _run(capsys, ["mul", path, path])
+    assert code == 3
+    assert "numerical failure" in out
+
+
+def test_hconj_norm_past_float64_exits_3(tmp_path, capsys):
+    # A well-formed file whose Frobenius norm, 2.4e308, float64 cannot hold
+    # (this was "input error", exit 2).
+    path = _write(tmp_path, "edge.json", [[1.7e308, 1.7e308]])
+    code, out = _run(capsys, ["hconj", path])
+    assert code == 3
+    assert "numerical failure" in out
+
+
 def test_mul_64x64_exits_0(tmp_path, capsys):
     # 28 qubits with the flag: a dense post-state would need 4 GiB.
     rng = np.random.default_rng(64)

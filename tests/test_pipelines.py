@@ -481,6 +481,69 @@ def test_linear_stage_random_matches_oracle():
         np.testing.assert_allclose(report.result.matrix, a @ b, atol=1e-9)
 
 
+# --- inputs over float64's whole range -----------------------------------------------------
+
+_SCALE_RNG = np.random.default_rng(70)
+_SA, _SB, _SC, _SV = (_rand(_SCALE_RNG, 3, 4), _rand(_SCALE_RNG, 3, 4), _rand(_SCALE_RNG, 4, 2),
+                      _rand(_SCALE_RNG, 4))
+
+# Each stage with inputs whose result is c times the c = 1 result; the inner
+# product's phase does not move at all.
+_SCALED_INPUTS = {
+    "add": (matrix_add, lambda c: (c * _SA, c * _SB)),
+    "mul": (matrix_mul, lambda c: (c * _SA, _SC)),
+    "solve": (linear_stage, lambda c: (c * _SA, _SV)),
+    "inner": (inner_product_phase, lambda c: (c * _SV, c * _SV[::-1])),
+}
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+@pytest.mark.parametrize("name", sorted(_SCALED_INPUTS))
+def test_end_stage_answer_holds_at_the_ends_of_float64(name, c):
+    # The squared entries leave float64's range at both ends, where
+    # np.linalg.norm reads inf or 0: the stages reported "labeled branch
+    # empty" at 1e300 and an all-zero input at 1e-300.
+    stage, inputs = _SCALED_INPUTS[name]
+    want = stage(*inputs(1.0))
+    got = stage(*inputs(c))
+    assert got.outcome == 1
+    if name == "inner":
+        assert abs(got.result - want.result) <= 1e-12
+    else:
+        err = np.max(np.abs(got.result.matrix / c - want.result.matrix))
+        assert err <= 1e-12 * np.max(np.abs(want.result.matrix))
+
+
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_inverse_of_a_scalar_far_from_one(x):
+    # |det| * |inv|_F is 1, but |inv|_F was taken as np.linalg.norm, which
+    # reads 0 or inf here: "scale 2^(-inf/2) is not representable".
+    report = matrix_inverse([[x]])
+    assert report.outcome == 1
+    assert report.result.matrix[0, 0] == pytest.approx(1 / x, rel=1e-12)
+
+
+_EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "-infj"])
+@pytest.mark.parametrize("call", [
+    lambda x: inner_product_phase(x[0], [1.0, 0.0]),
+    lambda x: matrix_add(x, _EYE2),
+    lambda x: matrix_mul(x, _EYE2),
+    lambda x: determinant_phase(x),
+    lambda x: matrix_inverse(x),
+    lambda x: linear_stage(_EYE2, x[0]),
+    lambda x: linear_stage(x, [1.0, 0.0]),
+], ids=["inner", "add", "mul", "det-phase", "inverse", "solve-vector", "solve-matrix"])
+def test_nonfinite_entries_raise(call, bad):
+    # matrix_mul, linear_stage and determinant_phase used to report "not-measured".
+    x = np.array([[bad, 0.5], [0.25, 1.0]], dtype=np.complex128)
+    with pytest.raises(ValueError, match="finite"):
+        call(x)
+
+
 # --- sampled mode and the measurement benchmark ------------------------------------------------
 
 def _single_column(n_r: int) -> np.ndarray:
@@ -632,10 +695,9 @@ def test_pipelines_are_pure_given_seed():
 
 # --- lazy garbage: the same final states as the eager build --------------------
 
-def _eager_final_stage(payload, layout, garbage_weight, mode, seed, payload_registers):
+def _eager_final_stage(payload, layout, garbage_weight, mode, seed):
     """The end-stage final stage with the garbage branch built up front."""
-    labeled = prepare_labeled_state(payload, layout, LABEL, garbage_weight, stream(seed, 0),
-                                    payload_registers=payload_registers)
+    labeled = prepare_labeled_state(payload, layout, LABEL, garbage_weight, stream(seed, 0))
     st = cnot(add_ancilla(labeled.state, FLAG), (LABEL, 0), (FLAG, 0))
     if mode == "ideal":
         return controlled_measure(st, (LABEL, 0), (FLAG, 0))
@@ -653,14 +715,14 @@ def _eager_add(a1, a2, mode, seed):
     payload = {(j, l, 0, 0, 0, 0, 1): coeffs[j, l]
                for j in range(1 << wr) for l in range(1 << wc) if coeffs[j, l] != 0}
     total = float(np.sum(np.abs(coeffs) ** 2))
-    return _eager_final_stage(payload, layout, 1.0 - total, mode, seed, ("row", "col"))
+    return _eager_final_stage(payload, layout, 1.0 - total, mode, seed)
 
 
 def _eager_det_phase(a, mode, seed):
     n = max(1, (a.shape[0] - 1).bit_length())
     coeff = det_lu(a) / 2.0 ** ((1 << n) ** 2 / 2.0)
     layout = RegisterLayout([("sys", 1), ("aux", 1), (LABEL, 1)])
-    return _eager_final_stage({(0, 0): coeff}, layout, 1.0 - abs(coeff) ** 2, mode, seed, ())
+    return _eager_final_stage({(0, 0): coeff}, layout, 1.0 - abs(coeff) ** 2, mode, seed)
 
 
 _ADD_A = np.array([[1 + 2j, 0.5], [-1, 3j], [0.25, -2]])

@@ -1,5 +1,5 @@
 """Property-based checks of the state kernels, the encodings, ``row_sum``, Hermitian
-conjugation and the CLI's matrix I/O."""
+conjugation, the end stages under rescaling and the CLI's matrix I/O."""
 
 import json
 
@@ -22,6 +22,10 @@ from qlasim import (
     encode_rcm,
     hadamard_register,
     hermitian_conjugate,
+    inner_product_phase,
+    linear_stage,
+    matrix_add,
+    matrix_mul,
     measure_sampled,
     random_state,
     row_sum,
@@ -279,6 +283,52 @@ def test_hermitian_conjugation_decodes_as_the_reference_chain(a):
     assert got.matrix.shape == (a.shape[1], a.shape[0])
     assert got.matrix.tobytes() == matrix.tobytes()
     assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
+
+
+# --- add, mul, solve and inner answers under a -> c*a over float64's range --
+
+@st.composite
+def scaled_stage_runs(draw):
+    """``(stage, inputs, c)``: ``inputs(s)`` are a stage's inputs whose result
+    is ``s`` times the ``s = 1`` result (the inner product's phase does not
+    move), real or complex, up to 8x8; c is log-uniform in [1e-300, 1e300]."""
+    name = draw(st.sampled_from(["add", "mul", "solve", "inner"]))
+    rows, inner = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+
+    def sample(*shape):
+        x = rng.standard_normal(shape) + 0j
+        if not real:
+            x.imag = rng.standard_normal(shape)
+        return x
+
+    a = sample(rows, inner)
+    b = {"add": lambda: sample(rows, inner), "mul": lambda: sample(inner, rows),
+         "solve": lambda: sample(inner), "inner": lambda: sample(rows * inner)}[name]()
+    c = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if name == "add":
+        return matrix_add, lambda s: (s * a, s * b), c
+    if name == "inner":
+        return inner_product_phase, lambda s: (s * a.reshape(-1), s * b), c
+    return {"mul": matrix_mul, "solve": linear_stage}[name], lambda s: (s * a, b), c
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_stage_runs())
+def test_end_stage_answers_do_not_move_under_scaling(run):
+    stage, inputs, c = run
+    want = stage(*inputs(1.0))
+    assume(want.outcome == 1)
+    if stage is inner_product_phase:
+        # The phase of z moves by |dz| / |z|; recovered_norm is |z| here.
+        got = stage(*inputs(c))
+        assert abs(got.result - want.result) * want.recovered_norm <= 1e-12
+        return
+    peak = float(np.max(np.abs(want.result.matrix)))
+    assume(1e-290 < c * peak < 1e300)  # a result float64 can hold, to full precision
+    got = stage(*inputs(c))
+    assert np.max(np.abs(got.result.matrix / c - want.result.matrix)) <= 1e-12 * peak
 
 
 # --- CLI matrix I/O against the per-entry reader and the recursive writer ---
