@@ -7,11 +7,15 @@ single row or a single column.
 Exit codes: 0 success; 1 empty labeled branch / failed sampled measurement;
 2 malformed input; 3 numerical failure (singular input, residual over the
 tolerance).
+
+:func:`main` may be called repeatedly in one process; it builds its parser on
+the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -195,15 +199,12 @@ def _matrix_lines(result) -> list[str]:
 
 # --- subcommands ------------------------------------------------------------
 
-def _cmd_rowsum(args) -> int:
-    report = pipelines.row_sum(encode_rc(read_matrix(args.matrix)),
-                               mode=args.mode, seed=args.seed)
-    return _report_pipeline("rowsum", report, args)
+def _read_rc(path: str):
+    return encode_rc(read_matrix(path))
 
 
-def _cmd_hconj(args) -> int:
-    conj = pipelines.hermitian_conjugate(encode_rcm(read_matrix(args.matrix)))
-    decoded = decode_rcm(conj)
+def _cmd_hconj(args, matrix) -> int:
+    decoded = decode_rcm(pipelines.hermitian_conjugate(encode_rcm(matrix)))
     payload = {
         "command": "hconj",
         "outcome": 1,
@@ -214,45 +215,8 @@ def _cmd_hconj(args) -> int:
     return EXIT_OK
 
 
-def _cmd_add(args) -> int:
-    report = pipelines.matrix_add(read_matrix(args.matrix_a), read_matrix(args.matrix_b),
-                                  mode=args.mode, seed=args.seed)
-    return _report_pipeline("add", report, args)
-
-
-def _cmd_mul(args) -> int:
-    report = pipelines.matrix_mul(read_matrix(args.matrix_a), read_matrix(args.matrix_b),
-                                  mode=args.mode, seed=args.seed)
-    return _report_pipeline("mul", report, args)
-
-
-def _cmd_det_phase(args) -> int:
-    report = pipelines.determinant_phase(read_matrix(args.matrix),
-                                         mode=args.mode, seed=args.seed)
-    return _report_pipeline("det-phase", report, args)
-
-
-def _cmd_inverse(args) -> int:
-    report = pipelines.matrix_inverse(read_matrix(args.matrix),
-                                      mode=args.mode, seed=args.seed)
-    return _report_pipeline("inverse", report, args)
-
-
-def _cmd_solve(args) -> int:
-    report = pipelines.linear_stage(read_matrix(args.matrix), read_vector(args.vector),
-                                    mode=args.mode, seed=args.seed)
-    return _report_pipeline("solve", report, args)
-
-
-def _cmd_inner(args) -> int:
-    report = pipelines.inner_product_phase(read_vector(args.psi1), read_vector(args.psi2),
-                                           mode=args.mode, seed=args.seed)
-    return _report_pipeline("inner", report, args)
-
-
-def _cmd_bench_measure(args) -> int:
-    rows = pipelines.naive_success_bench(encode_rc(read_matrix(args.matrix)),
-                                         trials=args.trials, master_seed=args.seed)
+def _cmd_bench_measure(args, encoded) -> int:
+    rows = pipelines.naive_success_bench(encoded, trials=args.trials, master_seed=args.seed)
     payload = {
         "command": "bench-measure",
         "trials": args.trials,
@@ -286,9 +250,46 @@ def _cmd_depth(args) -> int:
     return EXIT_OK
 
 
+_MATRIX = {"matrix": "read_matrix"}
+_TWO_MATRICES = {"matrix_a": "read_matrix", "matrix_b": "read_matrix"}
+
+# One row per subcommand, in help order: its help text, its positional file
+# arguments with the name of the reader in this module that loads each, and
+# the name of its pipeline in ``pipelines`` or of a ``_cmd_`` handler here,
+# which takes the parsed arguments and the loaded inputs.  The table holds
+# names, resolved when a command runs, so a patched attribute is the one called.
+_COMMANDS = {
+    "rowsum": ("sum a matrix over its columns", {"matrix": "_read_rc"}, "row_sum"),
+    "hconj": ("Hermitian conjugate of a matrix", _MATRIX, "_cmd_hconj"),
+    "add": ("sum of two matrices", _TWO_MATRICES, "matrix_add"),
+    "mul": ("product of two matrices", _TWO_MATRICES, "matrix_mul"),
+    "det-phase": ("phase of the determinant", _MATRIX, "determinant_phase"),
+    "inverse": ("matrix inverse (up to scale)", _MATRIX, "matrix_inverse"),
+    "solve": ("matrix-vector contraction stage",
+              {"matrix": "read_matrix", "vector": "read_vector"}, "linear_stage"),
+    "inner": ("phase of a bilinear inner product",
+              {"psi1": "read_vector", "psi2": "read_vector"}, "inner_product_phase"),
+    "bench-measure": ("naive sampling vs deterministic extraction", {"matrix": "_read_rc"},
+                      "_cmd_bench_measure"),
+    "depth": ("decomposition cost of the zero-controlled flip", {}, "_cmd_depth"),
+}
+
+
+def _run(args) -> int:
+    """Load the command's files, then run its handler or its pipeline and report."""
+    _help, readers, target = _COMMANDS[args.command]
+    inputs = [globals()[reader](getattr(args, arg)) for arg, reader in readers.items()]
+    if target.startswith("_cmd_"):
+        return globals()[target](args, *inputs)
+    report = getattr(pipelines, target)(*inputs, mode=args.mode, seed=args.seed)
+    return _report_pipeline(args.command, report, args)
+
+
 # --- argument parsing -------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument("--mode", choices=("ideal", "sampled"), default="ideal",
@@ -303,54 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="State-vector pipelines for amplitude-encoded matrix algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rowsum", parents=[common], help="sum a matrix over its columns")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_rowsum)
-
-    p = sub.add_parser("hconj", parents=[common], help="Hermitian conjugate of a matrix")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_hconj)
-
-    p = sub.add_parser("add", parents=[common], help="sum of two matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(fn=_cmd_add)
-
-    p = sub.add_parser("mul", parents=[common], help="product of two matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(fn=_cmd_mul)
-
-    p = sub.add_parser("det-phase", parents=[common], help="phase of the determinant")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_det_phase)
-
-    p = sub.add_parser("inverse", parents=[common], help="matrix inverse (up to scale)")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_inverse)
-
-    p = sub.add_parser("solve", parents=[common], help="matrix-vector contraction stage")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("inner", parents=[common], help="phase of a bilinear inner product")
-    p.add_argument("psi1")
-    p.add_argument("psi2")
-    p.set_defaults(fn=_cmd_inner)
-
-    p = sub.add_parser("bench-measure", parents=[common],
-                       help="naive sampling vs deterministic extraction")
-    p.add_argument("matrix")
-    p.add_argument("--trials", type=int, default=10000)
-    p.set_defaults(fn=_cmd_bench_measure)
-
-    p = sub.add_parser("depth", parents=[common],
-                       help="decomposition cost of the zero-controlled flip")
-    p.add_argument("--max-controls", type=int, default=10)
-    p.set_defaults(fn=_cmd_depth)
-
+    for command, (help_text, readers, _target) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for arg in readers:
+            p.add_argument(arg)
+    sub.choices["bench-measure"].add_argument("--trials", type=int, default=10000)
+    sub.choices["depth"].add_argument("--max-controls", type=int, default=10)
     return parser
 
 
@@ -367,7 +326,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_common(args)
-        return args.fn(args)
+        return _run(args)
     except (SingularMatrixError, NonProductSectorError, PreparationError) as exc:
         print(f"numerical failure: {exc}")
         return EXIT_NUMERICAL

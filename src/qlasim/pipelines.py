@@ -28,6 +28,7 @@ deterministic extraction avoids.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ from .linalg import PreparationError
 from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
                       controlled_measure, extract_labeled_branch, measure_sampled)
 from .rng import as_generator, first_draws, stream
-from .states import PureState, RegisterLayout, add_ancilla
+from .states import NORM_TOL, PureState, RegisterLayout, add_ancilla
 
 LABEL = "label"
 FLAG = "flag"
@@ -63,6 +64,10 @@ _MODES = ("ideal", "sampled")
 _SAMPLE_STREAM = 1 << 32  # substream reserved for the sampled-mode draw
 _STAGE_DEPTH = 1  # a closed-form end stage applies a single labeling CNOT
 CONDITION_LIMIT = 1e8  # matrix_inverse refuses a condition estimate at or above this
+# The least labeled weight per nonzero coefficient that renormalizes to a unit
+# state: squaring rounds each coefficient to float64's subnormal grid, an error
+# of up to 2^-1075, and the errors must stay under NORM_TOL / 2 of the weight.
+_MIN_WEIGHT_PER_TERM = 2.0 ** -1074 / NORM_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,14 +148,13 @@ def prepare_labeled_state(
         raise ValueError(f"label ancilla {label_ancilla!r} must be one qubit")
     other = [nm for nm in layout.names if nm != label_ancilla]
 
-    for key in payload:
-        if len(key) != len(other):
-            raise ValueError(
-                f"payload key {key!r} must assign the {len(other)} non-label registers"
-            )
-    columns = np.array(list(payload), dtype=np.int64).reshape(len(payload), len(other)).T
+    if set(map(len, payload)) - {len(other)}:
+        key = next(key for key in payload if len(key) != len(other))
+        raise ValueError(f"payload key {key!r} must assign the {len(other)} non-label registers")
+    columns = np.fromiter(itertools.chain.from_iterable(payload), dtype=np.int64,
+                          count=len(payload) * len(other)).reshape(len(payload), len(other)).T
     positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
-    coeffs = np.array(list(payload.values()), dtype=np.complex128).reshape(-1)
+    coeffs = np.fromiter(payload.values(), dtype=np.complex128, count=len(payload))
 
     total = float(np.sum(np.abs(coeffs) ** 2))
     if total > 1.0 + PAYLOAD_EXCESS_TOL:
@@ -363,22 +367,21 @@ def _closed_form_stage(
     recovered)`` for the post-measurement payload ``block``.  Only
     "not-measured" (every coefficient 0) and a failed sampled draw build the
     full state, garbage included.  A nonzero branch whose weight underflows
-    raises :class:`PreparationError`.
+    too far into float64's subnormal range to renormalize raises
+    :class:`PreparationError`.
     """
     layout = RegisterLayout([*registers, (LABEL, 1)])
-    payload = tuple(name for name, _ in registers if name not in fixed)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     # The garbage is scaled by sqrt(1 - total), and pinned outcome-0 states
     # depend on its bits: Python's abs for a single point (np.abs of a
     # complex can differ in the last bit), numpy's sum over an array.
     total = abs(complex(coeffs)) ** 2 if coeffs.ndim == 0 else float(np.sum(np.abs(coeffs) ** 2))
-    if total == 0.0 and np.any(coeffs):
-        raise PreparationError("labeled branch is nonzero, but its weight underflows float64")
-    grids = np.ix_(*(np.arange(1 << layout.width(name)) for name in payload))
-    values = {**fixed, **dict(zip(payload, grids))}
-    keys = np.stack([np.broadcast_to(values[name], coeffs.shape).reshape(-1)
-                     for name, _ in registers], axis=-1).tolist()
-    entries = dict(zip(map(tuple, keys), coeffs.reshape(-1).tolist()))  # C order of coeffs
+    if total < _MIN_WEIGHT_PER_TERM * np.count_nonzero(coeffs):
+        raise PreparationError(
+            f"labeled branch is nonzero, but its weight {total!r} underflows float64")
+    ranges = [(fixed[name],) if name in fixed else range(1 << width) for name, width in registers]
+    # itertools.product varies the last register fastest: the C order of coeffs.
+    entries = dict(zip(itertools.product(*ranges), coeffs.reshape(-1).tolist(), strict=True))
     labeled = prepare_labeled_state(entries, layout, LABEL, 1.0 - total, stream(seed, 0))
     meas = _final_stage(layout, labeled.positions, labeled.coefficients, mode, seed,
                         lambda: labeled.state, 0.0)

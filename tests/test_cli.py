@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qlasim import cli, pipelines
 from qlasim.cli import dumps, main, matrix_to_filedict, read_matrix
 
 
@@ -205,6 +206,19 @@ def test_mul_past_float64_exits_3(tmp_path, capsys):
     assert "numerical failure" in out
 
 
+def test_subnormal_labeled_weight_exits_3(tmp_path, capsys):
+    # Well-formed files whose labeled weight, 1.25e-321, is too coarse to
+    # renormalize: this was "input error: state is not normalized" (exit 2).
+    psi1 = _write(tmp_path, "psi1.json", [[1.0, 0.0]])
+    psi2 = _write(tmp_path, "psi2.json", [[1e-160, 1.0]])
+    row = _write(tmp_path, "row.json", [[1e160, 0.0]])
+    col = _write(tmp_path, "col.json", [[1.0], [1e160]])
+    for argv in (["inner", psi1, psi2], ["mul", row, col]):
+        code, out = _run(capsys, argv)
+        assert code == 3
+        assert out.startswith("numerical failure") and "underflow" in out
+
+
 def test_hconj_norm_past_float64_exits_3(tmp_path, capsys):
     # A well-formed file whose Frobenius norm, 2.4e308, float64 cannot hold
     # (this was "input error", exit 2).
@@ -299,6 +313,63 @@ def test_depth_table(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["depth"] for r in rows] == [3, 5, 9, 13, 17, 21]
+
+
+# --- one parser per process ------------------------------------------------------
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_reuses_its_parser_with_the_same_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    a = _write(tmp_path, "a.json", [[2.0, 0.0], [0.5, 3.0]])
+    v = _write(tmp_path, "v.json", [[1.0, 2.0]])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows":true,"cols":1,"data":[[1,0]]}')
+    calls = [
+        (["add", a, a, "--output", "json"], 0),
+        (["inverse", str(bad)], 2),  # an input error in main
+        (["solve", a, v, "--mode", "sampled", "--seed", "7"], 1),  # a failed draw
+        (["add", a], 2),  # argparse: a missing operand
+        (["--help"], 0),
+        (["mul", "--help"], 0),
+        (["hconj", a, "--output", "json"], 0),
+        (["depth", "--max-controls", "0"], 2),
+        (["bench-measure", a, "--trials", "20"], 0),
+        ([], 2),  # argparse: no subcommand
+        (["rowsum", a, "--seed", "3", "--output", "json"], 0),
+        (["inner", v, v], 0),
+        (["det-phase", a, "--tolerance", "nan"], 2),
+    ]
+    first = {}
+    for order in (calls, calls[::-1], calls):
+        for argv, code in order:
+            got = _call(capsys, argv)
+            assert got[0] == code, argv
+            assert got == first.setdefault(tuple(argv), got), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_resolves_pipeline_and_reader_on_each_call(tmp_path, capsys, monkeypatch):
+    # Spans installed by swapping module attributes must see every call,
+    # also after the parser was built.
+    a = _write(tmp_path, "a.json", [[2.0, 0.0], [0.5, 3.0]])
+    assert main(["add", a, a]) == 0
+    capsys.readouterr()
+    seen = []
+    matrix_add, read = pipelines.matrix_add, cli.read_matrix
+    monkeypatch.setattr(pipelines, "matrix_add",
+                        lambda *args, **kwargs: seen.append("add") or matrix_add(*args, **kwargs))
+    monkeypatch.setattr(cli, "read_matrix", lambda path: seen.append(path) or read(path))
+    assert main(["add", a, a]) == 0
+    assert seen == [a, a, "add"]
 
 
 def test_dumps_17_significant_digits():

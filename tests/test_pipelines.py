@@ -390,6 +390,25 @@ def test_nonzero_branch_with_underflowing_weight_raises():
         inner_product_phase([1.0, 0.0], [1e-170, 1.0])
 
 
+@pytest.mark.parametrize("stage, inputs", [
+    (inner_product_phase, ([1.0, 0.0], [1e-160, 1.0])),
+    (matrix_mul, ([[1e160, 0.0]], [[1.0], [1e160]])),
+])
+def test_subnormal_weight_too_coarse_to_renormalize_raises(stage, inputs):
+    # The labeled weight, 1.25e-321, holds 8 bits: dividing by its root left
+    # |amplitudes|^2 = 1.0000111, a bare ValueError that read as an input error.
+    with pytest.raises(PreparationError, match="underflow"):
+        stage(*inputs)
+
+
+@pytest.mark.parametrize("tiny", [1e-155, 1e-150])
+def test_subnormal_weight_with_enough_bits_succeeds(tiny):
+    # Weights 1.25e-311 and 1.25e-301: the first is subnormal, with 41 bits.
+    report = inner_product_phase([1.0, 0.0], [tiny, 1.0])
+    assert report.outcome == 1
+    assert report.result == 1.0
+
+
 @pytest.mark.parametrize("stage", [matrix_inverse, determinant_phase])
 def test_underflowing_determinant_raises(stage):
     # Condition number 1, but det = 1e-360 is below float64's range.

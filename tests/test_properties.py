@@ -27,6 +27,7 @@ from qlasim import (
     matrix_add,
     matrix_mul,
     measure_sampled,
+    prepare_labeled_state,
     random_state,
     row_sum,
     stream,
@@ -35,7 +36,7 @@ from qlasim import (
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.encode import _norm_scaling, _reg_width, extract_payload
 from qlasim.gates import PAULI, _apply_1q, _flip_where
-from qlasim.pipelines import FLAG, LABEL
+from qlasim.pipelines import FLAG, LABEL, _closed_form_stage
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -329,6 +330,48 @@ def test_end_stage_answers_do_not_move_under_scaling(run):
     assume(1e-290 < c * peak < 1e300)  # a result float64 can hold, to full precision
     got = stage(*inputs(c))
     assert np.max(np.abs(got.result.matrix / c - want.result.matrix)) <= 1e-12 * peak
+
+
+# --- labeled payloads: tuple keys against a per-key index_of -----------------
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(max_qubits=8), st.data())
+def test_prepared_keys_land_at_their_basis_index_in_any_order(layout, data):
+    # The label may sit anywhere; the keys assign the other registers in order.
+    other = list(layout.registers)
+    at = data.draw(st.integers(0, len(other)))
+    layout = RegisterLayout([*other[:at], (LABEL, 1), *other[at:]])
+    keys = data.draw(st.lists(st.tuples(*(st.integers(0, (1 << w) - 1) for _, w in other)),
+                              unique=True, max_size=16))
+    values = data.draw(st.lists(st.complex_numbers(max_magnitude=1.0 / 16),
+                                min_size=len(keys), max_size=len(keys)))
+    payload = dict(zip(keys, values))  # drawn order, rarely C order
+    weight = sum(abs(v) ** 2 for v in values)
+    labeled = prepare_labeled_state(payload, layout, LABEL, 1.0 - weight, stream(0))
+    want = [layout.index_of({**dict(zip((n for n, _ in other), key)), LABEL: 1}) for key in keys]
+    assert labeled.positions.tolist() == want
+    assert np.array_equal(labeled.coefficients, np.array(values, dtype=np.complex128))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(max_qubits=8), st.data(), st.integers(0, 2**32 - 1))
+def test_closed_form_stage_places_coeffs_in_c_order(layout, data, seed):
+    registers = list(layout.registers)
+    fixed = {name: data.draw(st.integers(0, (1 << w) - 1)) for name, w in registers
+             if data.draw(st.booleans())}
+    free = [name for name, _ in registers if name not in fixed]
+    shape = tuple(1 << layout.width(name) for name in free)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs /= 2.0 * np.linalg.norm(coeffs)
+    report = _closed_form_stage(registers, fixed, coeffs, "ideal", 0,
+                                recover=lambda root: root, decode=lambda block, _: block)
+    full = RegisterLayout([*registers, (LABEL, 1)])
+    want = [full.index_of({**fixed, **dict(zip(free, map(int, index))), LABEL: 1})
+            for index in np.ndindex(*shape)]
+    meas = report.measurement
+    assert meas.positions.tolist() == [2 * p + 1 for p in want]  # the flag appended last
+    assert np.array_equal(meas.amplitudes, coeffs.reshape(-1) / np.sqrt(meas.branch_weight))
 
 
 # --- CLI matrix I/O against the per-entry reader and the recursive writer ---
