@@ -15,6 +15,7 @@ the first call and reuses it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -215,39 +216,26 @@ def _cmd_hconj(args, matrix) -> int:
     return EXIT_OK
 
 
+def _write_table(payload: dict, records: list, output: str) -> int:
+    """Print dataclass ``records`` as ``payload``'s JSON ``rows``, or as text: the
+    field names, then one line per record."""
+    rows = [dataclasses.asdict(r) for r in records]
+    write_report({**payload, "rows": rows}, lambda: ["  ".join(rows[0])] + [
+        "  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows], output)
+    return EXIT_OK
+
+
 def _cmd_bench_measure(args, encoded) -> int:
     rows = pipelines.naive_success_bench(encoded, trials=args.trials, master_seed=args.seed)
-    payload = {
-        "command": "bench-measure",
-        "trials": args.trials,
-        "rows": [
-            {"n_r": r.n_r, "analytic_p": r.analytic_p, "empirical_p": r.empirical_p,
-             "controlled_success_rate": r.controlled_success_rate}
-            for r in rows
-        ],
-    }
-    write_report(payload, lambda: ["n_r  analytic_p  empirical_p  controlled_success_rate"] + [
-        f"{r.n_r}  {_fmt(r.analytic_p)}  {_fmt(r.empirical_p)}  {_fmt(r.controlled_success_rate)}"
-        for r in rows], args.output)
-    return EXIT_OK
+    return _write_table({"command": "bench-measure", "trials": args.trials}, rows, args.output)
 
 
 def _cmd_depth(args) -> int:
     if args.max_controls < 1:
         raise CliInputError("--max-controls must be at least 1")
     counts = [mcx_decomposition_count(n) for n in range(1, args.max_controls + 1)]
-    payload = {
-        "command": "depth",
-        "rows": [
-            {"n_controls": c.n_controls, "single_qubit_gates": c.single_qubit_gates,
-             "toffoli_gates": c.toffoli_gates, "depth": c.depth}
-            for c in counts
-        ],
-    }
-    write_report(payload, lambda: ["n_controls  single_qubit_gates  toffoli_gates  depth"] + [
-        f"{c.n_controls}  {c.single_qubit_gates}  {c.toffoli_gates}  {c.depth}"
-        for c in counts], args.output)
-    return EXIT_OK
+    return _write_table({"command": "depth"}, counts, args.output)
 
 
 _MATRIX = {"matrix": "read_matrix"}

@@ -45,24 +45,28 @@ def det_lu(matrix) -> complex:
     """Determinant via LU with partial pivoting; 0 for (near-)singular input.
 
     Singular means a pivot at most :data:`PIVOT_TOL` times the largest entry.
-    Raises :class:`PreparationError` if nonsingular pivots multiply to 0.
+    Raises :class:`PreparationError` if nonsingular pivots multiply to 0 or
+    to a value float64 cannot hold.
     """
     a = _square(matrix)
     n = a.shape[0]
     floor = _pivot_floor(a)
     det = 1.0 + 0.0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= floor:
-            return 0j
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            if abs(a[p, k]) <= floor:
+                return 0j
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                det = -det
+            det *= a[k, k]
+            a[k + 1:, k] /= a[k, k]
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
     if det == 0:
         raise PreparationError(f"determinant underflows float64: {n} nonsingular pivots")
+    if not np.isfinite(det):
+        raise PreparationError(f"determinant overflows float64: {n} nonsingular pivots")
     return complex(det)
 
 

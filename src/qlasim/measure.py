@@ -106,8 +106,8 @@ def branch_probability(state: PureState, qubit: QubitSpec, bit: int = 1) -> floa
     return _squared_norm(_sector(state.amplitudes, state.layout.qubit_position(qubit), bit))
 
 
-def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, np.ndarray]:
-    """One branch copied into a zeroed buffer, and the view of its nonzero half.
+def _project(state: PureState, position: int, bit: int) -> np.ndarray:
+    """One branch copied into a zeroed buffer.
 
     Callers sum the branch weight over the whole buffer, zeros included, so
     the summation order and every reported ``branch_weight`` bit stay fixed.
@@ -115,7 +115,14 @@ def _project(state: PureState, position: int, bit: int) -> tuple[np.ndarray, np.
     src = state.amplitudes.reshape(1 << position, 2, -1)
     out = np.zeros_like(src)
     out[:, bit] = src[:, bit]
-    return out, _sector(out, position, bit)
+    return out
+
+
+def _selected(layout: RegisterLayout, branch: np.ndarray, position: int, bit: int,
+              weight: float) -> MeasureResult:
+    """The projected ``branch`` renormalized in place, reported as outcome ``bit``."""
+    _sector(branch, position, bit)[...] /= np.sqrt(weight)
+    return MeasureResult(PureState(layout, branch, _adopt=True), bit, weight)
 
 
 def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
@@ -124,14 +131,8 @@ def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
     position = state.layout.qubit_position(qubit)
     p1 = branch_probability(state, qubit, 1)
     outcome = 1 if rng.random() < p1 else 0
-    weight = p1 if outcome == 1 else 1.0 - p1
-    branch, kept = _project(state, position, outcome)
-    kept /= np.sqrt(weight)
-    return MeasureResult(
-        post_state=PureState(state.layout, branch, _adopt=True),
-        outcome=outcome,
-        branch_weight=weight,
-    )
+    return _selected(state.layout, _project(state, position, outcome), position, outcome,
+                     p1 if outcome == 1 else 1.0 - p1)
 
 
 def postselect(state: PureState, qubit: QubitSpec, bit: int) -> MeasureResult:
@@ -139,18 +140,13 @@ def postselect(state: PureState, qubit: QubitSpec, bit: int) -> MeasureResult:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     position = state.layout.qubit_position(qubit)
-    branch, kept = _project(state, position, bit)
+    branch = _project(state, position, bit)
     weight = _squared_norm(branch)
     if weight < EMPTY_BRANCH_TOL:
         raise EmptyBranchError(
             f"branch {qubit!r}={bit} carries squared norm {weight!r}; nothing to select"
         )
-    kept /= np.sqrt(weight)
-    return MeasureResult(
-        post_state=PureState(state.layout, branch, _adopt=True),
-        outcome=bit,
-        branch_weight=weight,
-    )
+    return _selected(state.layout, branch, position, bit, weight)
 
 
 def controlled_measure(state: PureState, control_ancilla: QubitSpec,
@@ -164,20 +160,14 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
     """
     layout = state.layout
     control = layout.qubit_position(control_ancilla)
-    measured = layout.qubit_position(measured_ancilla)
-    if control == measured:
+    if control == layout.qubit_position(measured_ancilla):
         raise ValueError("control and measured ancillas must be distinct qubits")
 
-    branch, kept = _project(state, control, 1)
+    branch = _project(state, control, 1)
     weight = _squared_norm(branch)
     if weight <= EMPTY_BRANCH_TOL:
         return MeasureResult(post_state=state, outcome=None, branch_weight=0.0)
-    kept /= np.sqrt(weight)
-    return MeasureResult(
-        post_state=PureState(layout, branch, _adopt=True),
-        outcome=1,
-        branch_weight=weight,
-    )
+    return _selected(layout, branch, control, 1, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +189,18 @@ class LabeledBranch:
 
 
 def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
-                           amplitudes: np.ndarray, measured_ancilla: QubitSpec,
-                           rng=None) -> LabeledBranch | None:
+                           amplitudes: np.ndarray, rng=None) -> LabeledBranch | None:
     """The successful result of an extraction, from the labeled branch alone.
 
     ``amplitudes`` sit at the strictly increasing flat ``positions`` of
     ``layout``: the labeled branch after its labeling CNOT, so the control
-    (label) and ``measured_ancilla`` are |1> at each.  Without ``rng`` the
-    result is that of :func:`controlled_measure`, except that any nonzero
-    weight succeeds; with it, that of :func:`measure_sampled` on ``measured_ancilla``.
-    Returns ``None`` when the weight is 0 or the draw selects 0.  The weight
-    replays the pairwise sum those functions take over the whole state or the
-    measured=1 half, and the division is theirs, so the bits are the same.
+    (label) and the measured flag, the last qubit of ``layout``, are |1> at
+    each.  Without ``rng`` the result is that of :func:`controlled_measure`,
+    except that any nonzero weight succeeds; with it, that of
+    :func:`measure_sampled` on the flag.  Returns ``None`` when the weight is
+    0 or the draw selects 0.  The weight replays the pairwise sum those
+    functions take over the whole state or the flag=1 half, and the division
+    is theirs, so the bits are the same.
     """
     if np.any(positions[1:] <= positions[:-1]):
         raise ValueError("positions must be strictly increasing")
@@ -220,9 +210,7 @@ def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
         if weight == 0.0:
             return None
     else:
-        low = layout.total_qubits - 1 - layout.qubit_position(measured_ancilla)
-        half = (positions >> (low + 1) << low) | (positions & ((1 << low) - 1))  # bit dropped
-        weight = _sparse_pairwise_sum(layout.dim >> 1, half, terms)
+        weight = _sparse_pairwise_sum(layout.dim >> 1, positions >> 1, terms)  # flag bit dropped
         if not as_generator(rng).random() < weight:
             return None
     kept = amplitudes / np.sqrt(weight)

@@ -105,22 +105,30 @@ class LabeledState:
 class PipelineReport:
     """What one pipeline run produced.
 
-    ``outcome`` is 1 on success, ``None`` when no labeled branch existed
-    ("not-measured"), and 0 when a sampled-mode measurement failed.
-    ``result`` is a :class:`~qlasim.encode.DecodedResult` for matrix/vector
-    outputs, a unit complex number for phase outputs, or ``None`` on failure.
-    ``recovered_norm`` is the normalization constant reconstructed from the
-    branch weight.  ``final_state`` is the post-measurement state (the
-    untouched input state on "not-measured"); after a closed-form stage's
-    success it is built on first read, which allocates the whole state.
+    ``outcome`` and ``branch_weight`` are read from ``measurement``, the final
+    stage's result.  ``outcome`` is 1 on success, ``None`` when no labeled
+    branch existed ("not-measured"), and 0 when a sampled-mode measurement
+    failed.  ``result`` is a :class:`~qlasim.encode.DecodedResult` for
+    matrix/vector outputs, a unit complex number for phase outputs, or
+    ``None`` on failure.  ``recovered_norm`` is the normalization constant
+    reconstructed from the branch weight.  ``final_state`` is the
+    post-measurement state (the untouched input state on "not-measured");
+    after a closed-form stage's success it is built on first read, which
+    allocates the whole state.
     """
 
-    outcome: int | None
-    branch_weight: float
-    recovered_norm: float | None
-    gate_depth: int
-    result: DecodedResult | complex | None
     measurement: MeasureResult | LabeledBranch = field(repr=False)
+    gate_depth: int
+    recovered_norm: float | None = None
+    result: DecodedResult | complex | None = None
+
+    @property
+    def outcome(self) -> int | None:
+        return self.measurement.outcome
+
+    @property
+    def branch_weight(self) -> float:
+        return self.measurement.branch_weight
 
     @property
     def final_state(self) -> PureState:
@@ -155,6 +163,8 @@ def prepare_labeled_state(
                           count=len(payload) * len(other)).reshape(len(payload), len(other)).T
     positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
     coeffs = np.fromiter(payload.values(), dtype=np.complex128, count=len(payload))
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("payload coefficients must be finite")
 
     total = float(np.sum(np.abs(coeffs) ** 2))
     if total > 1.0 + PAYLOAD_EXCESS_TOL:
@@ -186,25 +196,18 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     a flag appended last, so a success is extracted from them alone at
     ``2 * positions + 1``.  An empty branch, an ideal weight at most ``floor``
     and a failed sampled draw leave the whole state, garbage included, as the
-    final state, so they run the dense sequence on ``labeled_state()``.
+    final state, so they run the dense sequence on ``labeled_state()``; with
+    ``floor`` at most ``EMPTY_BRANCH_TOL``, an ideal one is "not-measured".
     """
+    _check_mode(mode)
     rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
-    meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes,
-                                  (FLAG, 0), rng)
+    meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes, rng)
     if meas is not None and (rng is not None or meas.branch_weight > floor):
         return meas
     st = cnot(add_ancilla(labeled_state(), FLAG), (LABEL, 0), (FLAG, 0))
     if rng is None:
-        return controlled_measure(st, (LABEL, 0), (FLAG, 0))
+        return MeasureResult(st, None, 0.0)
     return measure_sampled(st, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
-
-
-def _report(meas: MeasureResult | LabeledBranch, depth: int, recovered: float | None = None,
-            result=None) -> PipelineReport:
-    """A run's report; ``recovered`` and ``result`` are ``None`` unless it succeeded."""
-    return PipelineReport(outcome=meas.outcome, branch_weight=meas.branch_weight,
-                          recovered_norm=recovered, gate_depth=depth, result=result,
-                          measurement=meas)
 
 
 def _off_sector(block: np.ndarray) -> float:
@@ -267,7 +270,6 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     sums; the branch weight equals (sum_i |row_sum_i|^2) / 2^(width of C) at
     amplitude level, and the normalization constant is recovered from it.
     """
-    _check_mode(mode)
     n_sum = encoded.state.layout.width("C")
     depth = n_sum + mcx_decomposition_count(n_sum).depth + 1
     labeled = _row_sum_labeled(encoded)
@@ -276,11 +278,11 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     meas = _final_stage(layout, positions, labeled.amplitudes[positions], mode, seed,
                         lambda: labeled, EMPTY_BRANCH_TOL)
     if meas.outcome != 1:
-        return _report(meas, depth)
+        return PipelineReport(meas, depth)
 
     recovered = float(np.sqrt(meas.branch_weight * (1 << n_sum)))
     result = _decoded_rows(meas.amplitudes, encoded.rows, encoded.scale * recovered)
-    return _report(meas, depth, recovered, result)
+    return PipelineReport(meas, depth, recovered, result)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +388,10 @@ def _closed_form_stage(
     meas = _final_stage(layout, labeled.positions, labeled.coefficients, mode, seed,
                         lambda: labeled.state, 0.0)
     if meas.outcome != 1:
-        return _report(meas, _STAGE_DEPTH)
+        return PipelineReport(meas, _STAGE_DEPTH)
     recovered = float(recover(np.sqrt(meas.branch_weight)))
     block = meas.amplitudes.reshape(coeffs.shape)
-    return _report(meas, _STAGE_DEPTH, recovered, decode(block, recovered))
+    return PipelineReport(meas, _STAGE_DEPTH, recovered, decode(block, recovered))
 
 
 def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -400,7 +402,6 @@ def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> Pi
     over 2^(3n/2); on success the result is the unit complex phase, and the
     magnitude of the inner product is recovered from the branch weight.
     """
-    _check_mode(mode)
     v1, v2 = _checked(psi1).reshape(-1), _checked(psi2).reshape(-1)
     if v1.size != v2.size:
         raise ValueError(f"length mismatch: {v1.size} vs {v2.size}")
@@ -417,8 +418,7 @@ def inner_product_phase(psi1, psi2, *, mode: str = "ideal", seed: int = 0) -> Pi
         recover=lambda root: root * factor, decode=lambda block, _: _phase(block))
 
 
-def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
-               prep_scale: float = 1.0) -> PipelineReport:
+def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     """Entrywise sum of two equal-shape matrices, up to normalization.
 
     Both inputs share one preparation scale (the joint Frobenius norm, with
@@ -427,7 +427,6 @@ def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
     magnitude is recovered from the branch weight.  a2 = -a1 leaves no
     labeled branch ("not-measured").
     """
-    _check_mode(mode)
     m1, m2 = _checked(a1), _checked(a2)
     if m1.shape != m2.shape:
         raise ValueError(f"shape mismatch: {m1.shape} vs {m2.shape}")
@@ -441,20 +440,17 @@ def matrix_add(a1, a2, *, mode: str = "ideal", seed: int = 0,
     return _closed_form_stage(
         [("row", wr), ("col", wc), ("aux1", 1), ("row2", wr), ("col2", wc), ("aux2", 1),
          ("mark", 1)], {"aux1": 0, "row2": 0, "col2": 0, "aux2": 0, "mark": 1},
-        (prep_scale / 2.0) * summed, mode, seed,
-        recover=lambda root: 2.0 * root / prep_scale,
+        0.5 * summed, mode, seed, recover=lambda root: 2.0 * root,
         decode=lambda block, recovered: _decoded_block(block, (rows, cols), joint * recovered))
 
 
-def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
-               prep_scale: float = 1.0) -> PipelineReport:
+def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     """Matrix product a1 @ a2, up to normalization.
 
     The labeled coefficients carry the contraction over the shared index,
     scaled by 2^(-3k/2) with k the width of that index.  A zero product
     (e.g. nilpotent factors) leaves no labeled branch.
     """
-    _check_mode(mode)
     m1, m2 = _checked(a1), _checked(a2)
     if m1.shape[1] != m2.shape[0]:
         raise ValueError(f"incompatible shapes for product: {m1.shape} and {m2.shape}")
@@ -470,8 +466,8 @@ def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0,
 
     return _closed_form_stage(
         [("row", wr), ("icol", k), ("irow", k), ("col", wc), ("aux", 1), ("mark", 1)],
-        {"icol": 0, "irow": 0, "aux": 0, "mark": 1}, prep_scale * product / factor, mode, seed,
-        recover=lambda root: root * factor / prep_scale,
+        {"icol": 0, "irow": 0, "aux": 0, "mark": 1}, product / factor, mode, seed,
+        recover=lambda root: root * factor,
         decode=lambda block, recovered: _decoded_block(block, (n_rows, n_cols),
                                                        s1 * s2 * recovered))
 
@@ -487,7 +483,6 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
     does not move).  The post-measurement state retains no trace of |det|.
     Raises :class:`PreparationError` where float64 cannot hold the branch.
     """
-    _check_mode(mode)
     m = _checked(a)
     if scale_exponent is None:
         scale_exponent = (1 << _reg_width(m.shape[0])) ** 2
@@ -509,18 +504,18 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
         recover=lambda root: root * divisor, decode=lambda block, _: _phase(block))
 
 
-def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
-                   scale_exponent: float | None = None) -> PipelineReport:
+def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     """Inverse of a well-conditioned square matrix, up to normalization.
 
     The labeled coefficients are -det(a) * inv(a)[j, i] / 2^(e/2) at row j,
     column i, with the inverse supplied by the classical reference; the run
     checks that the coefficient structure and normalization bookkeeping
-    survive the pipeline.  The preparation constant's phase is divided back
-    out of the decoded entries, so the reported direction is inv(a) itself;
-    its Frobenius norm is recovered from the branch weight.
+    survive the pipeline.  The exponent e, always derived from the input, is
+    the smallest even one keeping the labeled weight in [1/4, 1).  The
+    preparation constant's phase is divided back out of the decoded entries,
+    so the reported direction is inv(a) itself; its Frobenius norm is
+    recovered from the branch weight.
     """
-    _check_mode(mode)
     m = _checked(a)
     report = linalg.inverse_gj(m)
     if report.condition_estimate >= CONDITION_LIMIT:
@@ -532,10 +527,7 @@ def matrix_inverse(a, *, mode: str = "ideal", seed: int = 0,
     if d == 0:
         raise linalg.SingularMatrixError("determinant vanished within pivot tolerance")
     magnitude = abs(d) * _norm_scaling(inv)[2]
-    if scale_exponent is None:
-        # smallest even headroom keeping the labeled weight in [1/4, 1)
-        scale_exponent = 2.0 * (np.floor(np.log2(magnitude)) + 1.0)
-    divisor = _scale_divisor(scale_exponent)
+    divisor = _scale_divisor(2.0 * (np.floor(np.log2(magnitude)) + 1.0))
     n, w = m.shape[0], _reg_width(m.shape[0])
 
     return _closed_form_stage(
@@ -553,7 +545,6 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     normalized inputs over 2^(k/2), k the width of the contracted index.
     An orthogonal pair (a @ b = 0) leaves no labeled branch.
     """
-    _check_mode(mode)
     m = _checked(a)
     v = _checked(b).reshape(-1)
     if m.shape[1] != v.size:

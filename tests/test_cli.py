@@ -180,6 +180,16 @@ def test_underflowing_determinant_exits_3(tmp_path, capsys):
         assert "underflow" in out
 
 
+@pytest.mark.parametrize("matrix", [1e80 * np.eye(4), 1e200 * (1 + 1j) * np.eye(2)])
+def test_overflowing_determinant_exits_3(tmp_path, capsys, matrix):
+    # The second matrix exited 2 with "state is not normalized: nan" from det-phase.
+    path = _write(tmp_path, "huge.json", matrix)
+    for command in ("inverse", "det-phase"):
+        code, out = _run(capsys, [command, path])
+        assert (code, out) == (3, "numerical failure: determinant overflows float64: "
+                                  f"{len(matrix)} nonsingular pivots\n")
+
+
 def test_rowsum_past_float64_exits_3(tmp_path, capsys):
     # The row sum 2e308 overflows; this exited 0 printing "data":[[inf,nan]].
     path = _write(tmp_path, "huge.json", [[1e308, 1e308]])
@@ -313,6 +323,17 @@ def test_depth_table(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["depth"] for r in rows] == [3, 5, 9, 13, 17, 21]
+    assert out == (
+        '{"command":"depth","rows":['
+        '{"n_controls":1,"single_qubit_gates":3,"toffoli_gates":0,"depth":3},'
+        '{"n_controls":2,"single_qubit_gates":4,"toffoli_gates":1,"depth":5},'
+        '{"n_controls":3,"single_qubit_gates":6,"toffoli_gates":3,"depth":9},'
+        '{"n_controls":4,"single_qubit_gates":8,"toffoli_gates":5,"depth":13},'
+        '{"n_controls":5,"single_qubit_gates":10,"toffoli_gates":7,"depth":17},'
+        '{"n_controls":6,"single_qubit_gates":12,"toffoli_gates":9,"depth":21}]}\n')
+    assert _run(capsys, ["depth", "--max-controls", "6"]) == (0, (
+        "n_controls  single_qubit_gates  toffoli_gates  depth\n"
+        "1  3  0  3\n2  4  1  5\n3  6  3  9\n4  8  5  13\n5  10  7  17\n6  12  9  21\n"))
 
 
 # --- one parser per process ------------------------------------------------------
@@ -440,6 +461,14 @@ GOLDEN_BENCH_MEASURE = {
     ("single_column_4x8", 333, 12345):
         _bench_measure_json(3, "0.125", "0.13813813813813813", 333),
 }
+
+
+def test_bench_measure_text_is_pinned(tmp_path, capsys):
+    # The text form of the last GOLDEN_BENCH_MEASURE case.
+    path = _write(tmp_path, "single_column_4x8.json", GOLDEN_MATRICES["single_column_4x8"])
+    assert _run(capsys, ["bench-measure", path, "--trials", "333", "--seed", "12345"]) == (0, (
+        "n_r  analytic_p  empirical_p  controlled_success_rate\n"
+        "3  0.125  0.13813813813813813  1\n"))
 
 
 @pytest.mark.parametrize("name, trials, seed", sorted(GOLDEN_BENCH_MEASURE))

@@ -217,7 +217,7 @@ def test_labeled_branch_alone_matches_full_state_extraction():
         labeled = state.amplitudes.reshape(1 << label, 2, -1)[:, 1].reshape(-1)
         positions = np.arange(layout.dim).reshape(1 << label, 2, -1)[:, 1].reshape(-1)
         keep = labeled != 0
-        args = (layout, positions[keep], labeled[keep], ("flag", 0))
+        args = (layout, positions[keep], labeled[keep])
 
         got = extract_labeled_branch(*args)
         want = controlled_measure(state, ("label", 0), ("flag", 0))
@@ -354,12 +354,12 @@ def test_extraction_rejects_unordered_positions():
     layout = RegisterLayout([("S", 2), ("label", 1), ("flag", 1)])
     for positions in ([7, 3], [3, 3]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            extract_labeled_branch(layout, np.array(positions), np.array([0.6, 0.8]), ("flag", 0))
+            extract_labeled_branch(layout, np.array(positions), np.array([0.6, 0.8]))
 
 
 def test_extracted_post_state_is_built_once_on_first_read():
     layout = RegisterLayout([("S", 2), ("label", 1), ("flag", 1)])
-    got = extract_labeled_branch(layout, np.array([3, 15]), np.array([0.3, 0.4j]), ("flag", 0))
+    got = extract_labeled_branch(layout, np.array([3, 15]), np.array([0.3, 0.4j]))
     assert got.branch_weight == 0.25
     state = got.post_state
     assert got.post_state is state

@@ -1,5 +1,7 @@
 import itertools
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ def test_det_underflow_is_not_singular():
         det_lu(1e-90 * np.eye(4))
     # A subnormal product is still a value.
     assert 0.0 < abs(det_lu(1e-80 * np.eye(4))) < 1e-300
+
+
+@pytest.mark.parametrize("matrix", [1e80 * np.eye(4), 1e200 * (1 + 1j) * np.eye(2)])
+def test_det_overflow_raises_without_warnings(matrix):
+    # The pivot products 1e320 and (1e200 + 1e200j)^2 are past float64's range;
+    # they came back as inf and nan+infj with RuntimeWarnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreparationError, match="determinant overflows float64"):
+            det_lu(matrix)
+    # A product just inside the range is still a value.
+    assert det_lu(1e77 * np.eye(4)) == pytest.approx(1e308)
 
 
 def test_row_sums_known():

@@ -187,6 +187,14 @@ def test_prepare_labeled_weight_mismatch():
         prepare_labeled_state({(0,): 0.5}, layout, LABEL, 0.5, stream(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.inf), complex(np.nan, 0.0)])
+def test_prepare_labeled_rejects_nonfinite_coefficients(bad):
+    # A NaN passed the weight checks and failed only later, in a norm check.
+    layout = RegisterLayout([("S", 1), (LABEL, 1)])
+    with pytest.raises(ValueError, match="payload coefficients must be finite"):
+        prepare_labeled_state({(0,): bad, (1,): 0.5}, layout, LABEL, 0.75, stream(3))
+
+
 def test_prepare_labeled_sector_invariant():
     rng = np.random.default_rng(37)
     layout = RegisterLayout([("v", 2), ("aux", 1), (LABEL, 1)])
@@ -424,12 +432,11 @@ def test_det_phase_unrepresentable_scale_raises(n, exponent):
         determinant_phase(np.eye(n), scale_exponent=exponent)
 
 
-@pytest.mark.parametrize("exponent", [4096, -5000])
-def test_inverse_unrepresentable_scale_raises(exponent):
-    # 2^2048 overflows float64 and 2^-2500 is 0.0; an OverflowError and a
-    # "payload squared norm exceeds 1" ValueError used to escape instead.
-    with pytest.raises(PreparationError, match="scale"):
-        matrix_inverse(np.eye(3), scale_exponent=exponent)
+def test_inverse_of_a_matrix_past_float64_raises():
+    # The scale exponent is derived from |det(a)|, here 1e320; an input past
+    # float64's range ends in a PreparationError, not in an inf or nan scale.
+    with pytest.raises(PreparationError):
+        matrix_inverse(1e80 * np.eye(4))
 
 
 # --- matrix inversion ------------------------------------------------------------------
@@ -666,8 +673,17 @@ def test_sampled_mode_failure_rate_tracks_branch_weight():
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError, match="mode"):
-        row_sum(encode_rc(np.eye(2)), mode="bogus")
+    for stage, inputs in [
+        (row_sum, (encode_rc(np.eye(2)),)),
+        (inner_product_phase, ([1.0, 0.0], [1.0, 0.0])),
+        (matrix_add, (np.eye(2), np.eye(2))),
+        (matrix_mul, (np.eye(2), np.eye(2))),
+        (determinant_phase, (np.eye(2),)),
+        (matrix_inverse, (np.eye(2),)),
+        (linear_stage, (np.eye(2), [1.0, 0.0])),
+    ]:
+        with pytest.raises(ValueError, match="mode must be one of"):
+            stage(*inputs, mode="bogus")
 
 
 def test_decode_rc_reads_row_sum_post_state():
