@@ -344,7 +344,7 @@ def _pad2(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _scale_divisor(scale_exponent: float) -> float:
     """2^(scale_exponent/2); :class:`PreparationError` where float64 cannot hold it."""
     try:
-        divisor = 2.0 ** (scale_exponent / 2.0)
+        divisor = 2.0 ** (float(scale_exponent) / 2.0)  # a Python float raises, numpy's warns
     except OverflowError:
         divisor = math.inf
     if not 0.0 < divisor < math.inf:

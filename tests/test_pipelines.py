@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from qlasim import (
 from qlasim.encode import extract_payload
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
-from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled
+from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled, _scale_divisor
 from qlasim.states import add_ancilla
 
 ATOL = 1e-10
@@ -430,6 +431,28 @@ def test_det_phase_unrepresentable_scale_raises(n, exponent):
     # 2^-2500 is 0.0.
     with pytest.raises(PreparationError, match="scale"):
         determinant_phase(np.eye(n), scale_exponent=exponent)
+
+
+@pytest.mark.parametrize("exponent", [4096, -5000])
+def test_inverse_unrepresentable_scale_raises(exponent):
+    # matrix_inverse divides by _scale_divisor(e) with e derived from the
+    # input. 2^2048 overflows float64 and 2^-2500 is 0.0; an OverflowError and
+    # a "payload squared norm exceeds 1" ValueError used to escape instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreparationError, match="scale"):
+            _scale_divisor(exponent)
+
+
+def test_inverse_derived_scale_past_float64_raises():
+    # det = 2^1023 is finite and the condition number is 2^26, but
+    # |det| * |inv|_F is just above 2^1023, so the derived e is 2048 and
+    # 2^(e/2) overflows; numpy's power warned before raising here.
+    a = np.diag([1.0] + [2.0 ** 26] * 39 + [2.0 ** 9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreparationError, match=r"scale 2\^\(2048.0/2\)"):
+            matrix_inverse(a)
 
 
 def test_inverse_of_a_matrix_past_float64_raises():
