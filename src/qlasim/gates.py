@@ -91,8 +91,6 @@ def controlled_on_zero_flip(state: PureState, control_register: str,
     target_name = target_ancilla if isinstance(target_ancilla, str) else target_ancilla[0]
     if target_name == control_register:
         raise ValueError("control register and target ancilla overlap")
-    if isinstance(target_ancilla, str) and layout.width(target_name) != 1:
-        raise ValueError(f"target register {target_name!r} is wider than one qubit")
     target = layout.qubit_position(target_ancilla)
     return _flip_where(state, dict.fromkeys(layout.axes(control_register), 0), target)
 
@@ -114,12 +112,6 @@ class GateCount:
     single_qubit_gates: int
     toffoli_gates: int
     depth: int
-
-    def __post_init__(self):
-        if min(self.n_controls, self.single_qubit_gates, self.toffoli_gates, self.depth) < 0:
-            raise ValueError("gate counts must be non-negative")
-        if self.depth > self.single_qubit_gates + self.toffoli_gates:
-            raise ValueError("serial depth cannot exceed the total gate count")
 
 
 def mcx_decomposition_count(n_controls: int) -> GateCount:

@@ -27,7 +27,6 @@ class SingularMatrixError(ValueError):
 class OracleReport:
     value: np.ndarray
     condition_estimate: float
-    pivot_log: tuple[int, ...]
 
 
 def _square(matrix) -> np.ndarray:
@@ -80,7 +79,6 @@ def inverse_gj(matrix) -> OracleReport:
     n = a.shape[0]
     floor = _pivot_floor(a)
     aug = np.hstack([a.copy(), np.eye(n, dtype=np.complex128)])
-    pivots: list[int] = []
     for k in range(n):
         p = k + int(np.argmax(np.abs(aug[k:, k])))
         if abs(aug[p, k]) <= floor:
@@ -88,14 +86,13 @@ def inverse_gj(matrix) -> OracleReport:
                 f"pivot {abs(aug[p, k]):.3e} at most {PIVOT_TOL} * max|a_ij| = {floor:.3e}")
         if p != k:
             aug[[k, p]] = aug[[p, k]]
-        pivots.append(p)
         aug[k] /= aug[k, k]
         factors = aug[:, k].copy()
         factors[k] = 0.0
         aug -= np.outer(factors, aug[k])
     inv = np.ascontiguousarray(aug[:, n:])
     cond = float(np.max(np.sum(np.abs(a), axis=1)) * np.max(np.sum(np.abs(inv), axis=1)))
-    return OracleReport(value=inv, condition_estimate=cond, pivot_log=tuple(pivots))
+    return OracleReport(value=inv, condition_estimate=cond)
 
 
 def row_sums(matrix) -> np.ndarray:
@@ -103,14 +100,6 @@ def row_sums(matrix) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError("row_sums expects a matrix")
     return a.sum(axis=1)
-
-
-def add(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
 
 
 def mul(a, b) -> np.ndarray:

@@ -6,12 +6,12 @@ Three ways to read an ancilla out of a state:
   whose useful branch carries weight p it succeeds only with probability p.
 * :func:`postselect` forces a chosen outcome and fails loudly on an empty
   branch.
-* :func:`controlled_measure` measures the flag ancilla only inside the sector
-  where the label ancilla is |1>.  If any labeled component exists, however
-  small, the labeled branch is returned renormalized (deterministic success);
-  if none exists the input state is returned untouched.  The operation is not
-  unitary, and the pre-measurement branch weight survives only in the
-  ``branch_weight`` field, never in the post-state.
+* :func:`controlled_measure` is post-selection on the label ancilla that
+  cannot fail: it measures the flag only inside the label=|1> sector, returns
+  any labeled component, however small, renormalized (deterministic success),
+  and where :func:`postselect` would raise returns the input state untouched.
+  The operation is not unitary, and the pre-measurement branch weight survives
+  only in the ``branch_weight`` field, never in the post-state.
 
 :func:`extract_labeled_branch` gives the successful result of either
 extraction from the labeled branch alone, as its nonzero amplitudes, for
@@ -26,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import as_generator
 from .states import PureState, QubitSpec, RegisterLayout, _check_norm
 
-# A branch below this squared norm counts as absent.
+# A branch at or below this squared norm counts as absent.
 EMPTY_BRANCH_TOL = 1e-14
 
 _DENSE_SUM_MAX = 1 << 14  # buffer length up to which a sparse sum fills and sums densely
@@ -125,9 +124,8 @@ def _selected(layout: RegisterLayout, branch: np.ndarray, position: int, bit: in
     return MeasureResult(PureState(layout, branch, _adopt=True), bit, weight)
 
 
-def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
-    """Born-rule measurement of one qubit using an explicit random stream."""
-    rng = as_generator(rng)
+def measure_sampled(state: PureState, qubit: QubitSpec, rng: np.random.Generator) -> MeasureResult:
+    """Born-rule measurement of one qubit by one ``rng.random()`` draw."""
     position = state.layout.qubit_position(qubit)
     p1 = branch_probability(state, qubit, 1)
     outcome = 1 if rng.random() < p1 else 0
@@ -136,13 +134,14 @@ def measure_sampled(state: PureState, qubit: QubitSpec, rng) -> MeasureResult:
 
 
 def postselect(state: PureState, qubit: QubitSpec, bit: int) -> MeasureResult:
-    """Project onto ``qubit = bit`` and renormalize."""
+    """Project onto ``qubit = bit`` and renormalize; :class:`EmptyBranchError`
+    when the branch weight is at or below :data:`EMPTY_BRANCH_TOL`."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     position = state.layout.qubit_position(qubit)
     branch = _project(state, position, bit)
     weight = _squared_norm(branch)
-    if weight < EMPTY_BRANCH_TOL:
+    if weight <= EMPTY_BRANCH_TOL:
         raise EmptyBranchError(
             f"branch {qubit!r}={bit} carries squared norm {weight!r}; nothing to select"
         )
@@ -153,21 +152,18 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
                        measured_ancilla: QubitSpec) -> MeasureResult:
     """Measure ``measured_ancilla`` only inside the ``control_ancilla = |1>`` sector.
 
-    Returns the labeled branch renormalized with ``outcome=1`` whenever that
-    sector carries any weight above :data:`EMPTY_BRANCH_TOL` (success is
-    independent of how small the weight is).  With no labeled component the
-    input state is returned unchanged and ``outcome`` is ``None``.
+    This is ``postselect(state, control_ancilla, 1)``, which succeeds whenever
+    that sector carries any weight above :data:`EMPTY_BRANCH_TOL`, however
+    small, except that where it raises :class:`EmptyBranchError` the input
+    state is returned unchanged with ``outcome=None`` and ``branch_weight=0.0``.
     """
     layout = state.layout
-    control = layout.qubit_position(control_ancilla)
-    if control == layout.qubit_position(measured_ancilla):
+    if layout.qubit_position(control_ancilla) == layout.qubit_position(measured_ancilla):
         raise ValueError("control and measured ancillas must be distinct qubits")
-
-    branch = _project(state, control, 1)
-    weight = _squared_norm(branch)
-    if weight <= EMPTY_BRANCH_TOL:
+    try:
+        return postselect(state, control_ancilla, 1)
+    except EmptyBranchError:
         return MeasureResult(post_state=state, outcome=None, branch_weight=0.0)
-    return _selected(layout, branch, control, 1, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +184,8 @@ class LabeledBranch:
         return PureState(self.layout, amps, _adopt=True)
 
 
-def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
-                           amplitudes: np.ndarray, rng=None) -> LabeledBranch | None:
+def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
+                           rng: np.random.Generator | None = None) -> LabeledBranch | None:
     """The successful result of an extraction, from the labeled branch alone.
 
     ``amplitudes`` sit at the strictly increasing flat ``positions`` of
@@ -197,10 +193,10 @@ def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
     (label) and the measured flag, the last qubit of ``layout``, are |1> at
     each.  Without ``rng`` the result is that of :func:`controlled_measure`,
     except that any nonzero weight succeeds; with it, that of
-    :func:`measure_sampled` on the flag.  Returns ``None`` when the weight is
-    0 or the draw selects 0.  The weight replays the pairwise sum those
-    functions take over the whole state or the flag=1 half, and the division
-    is theirs, so the bits are the same.
+    :func:`measure_sampled` on the flag, drawing one ``rng.random()``.
+    Returns ``None`` when the weight is 0 or the draw selects 0.  The weight
+    replays the pairwise sum those functions take over the whole state or the
+    flag=1 half, and the division is theirs, so the bits are the same.
     """
     if np.any(positions[1:] <= positions[:-1]):
         raise ValueError("positions must be strictly increasing")
@@ -211,7 +207,7 @@ def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray,
             return None
     else:
         weight = _sparse_pairwise_sum(layout.dim >> 1, positions >> 1, terms)  # flag bit dropped
-        if not as_generator(rng).random() < weight:
+        if not rng.random() < weight:
             return None
     kept = amplitudes / np.sqrt(weight)
     _check_norm(kept)

@@ -50,7 +50,7 @@ from .gates import (
 from .linalg import PreparationError
 from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
                       controlled_measure, extract_labeled_branch, measure_sampled)
-from .rng import as_generator, first_draws, stream
+from .rng import first_draws, stream
 from .states import NORM_TOL, PureState, RegisterLayout, add_ancilla
 
 LABEL = "label"
@@ -140,7 +140,7 @@ def prepare_labeled_state(
     layout: RegisterLayout,
     label_ancilla: str,
     garbage_weight: float,
-    rng,
+    rng: np.random.Generator,
 ) -> LabeledState:
     """Initialize a labeled state from explicit branch coefficients.
 
@@ -148,10 +148,9 @@ def prepare_labeled_state(
     to the coefficient that basis state carries on the label=|1> branch.  The
     garbage branch is a seeded pseudo-random unit state on the label=|0>
     sector, scaled to ``garbage_weight``; the two weights must sum to one.
-    The garbage is drawn from ``rng`` only on the first read of ``.state``,
-    so drawing from the same generator before that read changes it.
+    The garbage is drawn from the generator ``rng`` only on the first read
+    of ``.state``, so drawing from it before that read changes it.
     """
-    rng = as_generator(rng)
     if layout.width(label_ancilla) != 1:
         raise ValueError(f"label ancilla {label_ancilla!r} must be one qubit")
     other = [nm for nm in layout.names if nm != label_ancilla]
@@ -181,11 +180,6 @@ def prepare_labeled_state(
                         garbage_rng=rng)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
                  mode: str, seed: int, labeled_state: Callable[[], PureState],
                  floor: float) -> MeasureResult | LabeledBranch:
@@ -199,7 +193,8 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     final state, so they run the dense sequence on ``labeled_state()``; with
     ``floor`` at most ``EMPTY_BRANCH_TOL``, an ideal one is "not-measured".
     """
-    _check_mode(mode)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     rng = None if mode == "ideal" else stream(seed, _SAMPLE_STREAM)
     meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes, rng)
     if meas is not None and (rng is not None or meas.branch_weight > floor):
@@ -296,9 +291,7 @@ def _pad_square(encoded: EncodedMatrix) -> EncodedMatrix:
     if wr == wc:
         return encoded
     w = max(wr, wc)
-    old = encoded.state.amplitudes.reshape(1 << wr, 1 << wc, 2)
-    new = np.zeros((1 << w, 1 << w, 2), dtype=np.complex128)
-    new[: 1 << wr, : 1 << wc, :] = old
+    new = _pad2(encoded.state.amplitudes.reshape(1 << wr, 1 << wc, 2), (1 << w, 1 << w, 2))
     square = RegisterLayout([("R", w), ("C", w), ("M", 1)])
     return EncodedMatrix(PureState(square, new.reshape(-1), _adopt=True), "RCM",
                          encoded.rows, encoded.cols, encoded.scale)
@@ -327,6 +320,12 @@ def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
     """``(a / |a|_F, |a|_F)`` over float64's whole range; ``(a, 0.0)`` for zero."""
     b, divisor, scale = _norm_scaling(a)
     return (b / divisor if scale else b), scale
+
+
+def _regrouped(s1: float, s2: float, recovered: float) -> float:
+    """``s1 * s2 * recovered``, as ``s1 * (s2 * recovered)`` where that is 0 or inf."""
+    scale = s1 * s2 * recovered
+    return scale if 0.0 < scale < math.inf else s1 * (s2 * recovered)
 
 
 def _pair_norm(pair: np.ndarray) -> float:
@@ -469,7 +468,7 @@ def matrix_mul(a1, a2, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
         {"icol": 0, "irow": 0, "aux": 0, "mark": 1}, product / factor, mode, seed,
         recover=lambda root: root * factor,
         decode=lambda block, recovered: _decoded_block(block, (n_rows, n_cols),
-                                                       s1 * s2 * recovered))
+                                                       _regrouped(s1, s2, recovered)))
 
 
 def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
@@ -561,7 +560,7 @@ def linear_stage(a, b, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     return _closed_form_stage(
         [("row", wr), ("col", k), ("rhs", k), ("aux", 1)], {"col": 0, "rhs": 0, "aux": 0},
         contraction / factor, mode, seed, recover=lambda root: root * factor,
-        decode=lambda block, recovered: _decoded_rows(block, m.shape[0], sa * sb * recovered))
+        decode=lambda block, recovered: _decoded_rows(block, len(m), _regrouped(sa, sb, recovered)))
 
 
 # ---------------------------------------------------------------------------

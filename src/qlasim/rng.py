@@ -39,13 +39,6 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator or an integer seed (stream 0 of that seed)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return stream(int(rng))
-
-
 def first_draws(master_seed: int, stream_ids) -> np.ndarray:
     """``stream(master_seed, k).random()`` for every ``k`` in ``stream_ids``.
 

@@ -81,10 +81,8 @@ class RegisterLayout:
 
     def axes(self, name: str) -> range:
         """Global qubit positions of a register, most significant first."""
-        start = self._starts.get(name)
-        if start is None:
-            raise KeyError(f"unknown register {name!r}")
-        return range(start, start + self.width(name))
+        width = self.width(name)  # KeyError on an unknown register
+        return range(self._starts[name], self._starts[name] + width)
 
     def qubit_position(self, qubit: QubitSpec) -> int:
         """Global position of a single qubit given as (register, bit) or name."""

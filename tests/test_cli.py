@@ -140,6 +140,26 @@ def test_finite_nonnegative_tolerance_is_accepted(tmp_path, capsys, tolerance):
     assert _run(capsys, ["inverse", path, "--tolerance", tolerance])[0] == 0
 
 
+def test_residual_over_tolerance_exits_3(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", [[2.0, 1j], [0.5, 3.0 - 1j]])
+    code, out = _run(capsys, ["inverse", path, "--tolerance", "0", "--output", "json"])
+    assert code == 3
+    assert json.loads(out)["error"] == "decode residual 2.220e-16 over tolerance"
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    code, out = _run(capsys, ["inverse", str(tmp_path / "missing.json")])
+    assert code == 2
+    assert out.startswith("input error: cannot read")
+
+
+def test_inner_on_a_matrix_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", [[1.0, 2.0], [3.0, 4.0]])
+    code, out = _run(capsys, ["inner", path, path])
+    assert code == 2
+    assert "expected a vector" in out
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
 def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
     # -1 used to wrap to 2^64 - 1, and 2^64 to 0, each sharing that seed's stream.
@@ -214,6 +234,15 @@ def test_mul_past_float64_exits_3(tmp_path, capsys):
     code, out = _run(capsys, ["mul", path, path])
     assert code == 3
     assert "numerical failure" in out
+
+
+def test_mul_with_input_norms_past_float64_exits_0(tmp_path, capsys):
+    # The input norms multiply to 1e320, but the product 1e300 fits (this exited 3).
+    row = _write(tmp_path, "row.json", [[1e160, 0.0]])
+    col = _write(tmp_path, "col.json", [[1e140], [1e160]])
+    code, out = _run(capsys, ["mul", row, col, "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["result"]["data"] == [[1e300, 0.0]]
 
 
 def test_subnormal_labeled_weight_exits_3(tmp_path, capsys):

@@ -13,7 +13,7 @@ from qlasim import (
     inverse_gj,
     row_sums,
 )
-from qlasim.linalg import add, mul
+from qlasim.linalg import mul
 from qlasim.pipelines import PreparationError
 
 
@@ -83,7 +83,6 @@ def test_inverse_residual_random_6x6():
         report = inverse_gj(a)
         assert np.max(np.abs(a @ report.value - np.eye(6))) < 1e-9
         assert report.condition_estimate >= 1.0
-        assert len(report.pivot_log) == 6
 
 
 def test_inverse_twice_is_identity_map():
@@ -160,12 +159,9 @@ def test_mul_against_triple_loop():
     np.testing.assert_allclose(got, naive, atol=1e-12)
 
 
-def test_add_and_contract_shapes():
+def test_contract_shapes():
     rng = np.random.default_rng(26)
     a = _random(rng, 3, 2)
-    np.testing.assert_allclose(add(a, a), 2 * a, atol=0)
-    with pytest.raises(ValueError):
-        add(a, _random(rng, 2, 3))
     v = rng.standard_normal(2)
     np.testing.assert_allclose(contract(a, v), a @ v, atol=0)
     with pytest.raises(ValueError):

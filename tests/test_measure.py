@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlasim import (
+    EMPTY_BRANCH_TOL,
     EmptyBranchError,
     PureState,
     RegisterLayout,
@@ -71,6 +72,21 @@ def test_postselect_empty_branch():
     layout = RegisterLayout([("R", 1)])
     with pytest.raises(EmptyBranchError):
         postselect(basis_state(layout, {"R": 0}), "R", 1)
+
+
+def test_branch_weight_at_empty_tolerance_counts_as_absent():
+    # A1=1 weight is exactly EMPTY_BRANCH_TOL: both selections treat it as empty.
+    layout = RegisterLayout([("S", 1), ("A1", 1), ("A2", 1)])
+    amps = np.zeros(8, dtype=complex)
+    amps[3], amps[7] = np.sqrt(1e-14), 8.9e-16
+    amps[0] = np.sqrt(1 - 1e-14 - 8.9e-16 ** 2)
+    state = PureState(layout, amps)
+    assert branch_probability(state, "A1", 1) == EMPTY_BRANCH_TOL == 1e-14
+    with pytest.raises(EmptyBranchError):
+        postselect(state, "A1", 1)
+    res = controlled_measure(state, "A1", "A2")
+    assert (res.outcome, res.branch_weight) == (None, 0.0)
+    assert res.post_state is state
 
 
 def test_postselect_flag_recovers_row_sums():

@@ -27,10 +27,12 @@ from qlasim import (
     matrix_inverse,
     matrix_mul,
     naive_success_bench,
+    postselect,
     prepare_labeled_state,
     row_sum,
     row_sums,
     stream,
+    swap_registers,
 )
 from qlasim.encode import extract_payload
 from qlasim.linalg import SingularMatrixError
@@ -572,6 +574,21 @@ def test_inverse_of_a_scalar_far_from_one(x):
     assert report.result.matrix[0, 0] == pytest.approx(1 / x, rel=1e-12)
 
 
+@pytest.mark.parametrize("stage, inputs", [
+    (matrix_mul, ([[1e160, 0.0]], [[1e140], [1e160]])),
+    (linear_stage, ([[1e160, 0.0]], [1e140, 1e160])),
+], ids=["mul", "solve"])
+def test_input_norms_past_float64_with_a_result_that_fits(stage, inputs):
+    # The input norms multiply to 1e320, past float64, but the answer is
+    # 1e300: "the result's norm is outside float64's range" was raised here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = stage(*inputs)
+    assert report.outcome == 1
+    assert report.result.known_scale == 1e300
+    assert report.result.matrix.reshape(-1).tolist() == [1e300]
+
+
 _EYE2 = np.eye(2)
 
 
@@ -693,6 +710,43 @@ def test_sampled_mode_failure_rate_tracks_branch_weight():
     )
     sigma = np.sqrt((7 / 8) * (1 / 8) / 400)
     assert abs(failures / 400 - 7 / 8) <= 3 * sigma
+
+
+_LAYOUT_SL = RegisterLayout([("S", 1), (LABEL, 1)])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: matrix_mul(np.eye(2), np.eye(3)), ValueError, "incompatible shapes for product"),
+    (lambda: matrix_mul(np.zeros((2, 2)), np.eye(2)), ValueError, "all-zero matrix"),
+    (lambda: linear_stage(np.eye(2), [1.0, 0.0, 0.0]), ValueError,
+     "incompatible shapes for contraction"),
+    (lambda: linear_stage(np.eye(2), [0.0, 0.0]), ValueError, "all-zero input"),
+    (lambda: matrix_add(np.zeros((2, 2)), np.zeros((2, 2))), ValueError,
+     "two all-zero matrices"),
+    (lambda: row_sum(encode_rcm(np.eye(2))), ValueError, "needs an RC encoding"),
+    (lambda: hermitian_conjugate(encode_rc(np.eye(2))), ValueError, "needs an RCM encoding"),
+    (lambda: naive_success_bench(encode_rc(np.eye(2)), trials=0, master_seed=0), ValueError,
+     "at least one trial"),
+    (lambda: prepare_labeled_state({(0,): 1.0, (1,): 0.5}, _LAYOUT_SL, LABEL, 0.0, stream(0)),
+     ValueError, "exceeds 1"),
+    (lambda: prepare_labeled_state({(0,): 0.5}, _LAYOUT_SL, LABEL, -0.1, stream(0)),
+     ValueError, "non-negative"),
+    (lambda: prepare_labeled_state({(0,): 1.0}, RegisterLayout([("S", 1), (LABEL, 2)]), LABEL,
+                                   0.0, stream(0)), ValueError, "must be one qubit"),
+    (lambda: encode_rcm(np.zeros((2, 2))), ValueError, "all-zero matrix"),
+    (lambda: encode_rcm(np.ones((2, 2, 2))), ValueError, "rank 3"),
+    (lambda: swap_registers(encode_rc(np.eye(2)).state, "R", "R"), ValueError, "with itself"),
+    (lambda: postselect(encode_rc(np.eye(2)).state, ("R", 0), 2), ValueError,
+     "bit must be 0 or 1"),
+    (lambda: _LAYOUT_SL.assignment_of(4), ValueError, "index 4 out of range"),
+    (lambda: _LAYOUT_SL.axes("nope"), KeyError, "unknown register 'nope'"),
+], ids=["mul-shape", "mul-zero", "solve-shape", "solve-zero", "add-zero", "rowsum-rcm",
+        "hconj-rc", "bench-trials", "prepare-excess", "prepare-garbage", "prepare-label",
+        "encode-zero", "encode-rank3", "swap-self", "postselect-bit", "assignment-range",
+        "axes-unknown"])
+def test_documented_input_errors_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_mode_validation():
