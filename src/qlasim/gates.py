@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, QubitSpec
+from .states import PureState, QubitSpec, RegisterLayout
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
@@ -52,13 +52,12 @@ def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:
 
 
 def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
-    """Exchange the contents of two equal-width registers."""
+    """Exchange the contents of two registers of any widths: the amplitude at
+    |x>_a |y>_b moves to |y>_a |x>_b, and each name takes the other's width."""
     layout = state.layout
     if name_a == name_b:
         raise ValueError("cannot swap a register with itself")
-    wa, wb = layout.width(name_a), layout.width(name_b)
-    if wa != wb:
-        raise ValueError(f"width mismatch: {name_a!r} has {wa} qubits, {name_b!r} has {wb}")
+    widths = {name_a: layout.width(name_b), name_b: layout.width(name_a)}
     # One axis per register up to the later of the two; the qubits after it
     # move together, so they are one opaque element of 16 << trailing bytes.
     ia, ib = sorted((layout.names.index(name_a), layout.names.index(name_b)))
@@ -67,7 +66,8 @@ def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
     element = np.dtype((np.void, 16 << trailing))
     a = state.amplitudes.view(element).reshape([1 << w for _, w in head])
     amps = a.swapaxes(ia, ib).copy().view(np.complex128)
-    return PureState(layout, amps, _adopt=True)
+    swapped = RegisterLayout([(name, widths.get(name, w)) for name, w in layout.registers])
+    return PureState(swapped, amps, _adopt=True)
 
 
 def _flip_where(state: PureState, controls: dict[int, int], target: int) -> PureState:

@@ -8,8 +8,8 @@ ancilla in |0>, copies the label onto it with a CNOT and runs
 renormalized however small its weight, or leaves the state untouched when no
 labeled component exists.  The final stage gets that result bit for bit from
 the labeled amplitudes alone (:func:`~qlasim.measure.extract_labeled_branch`)
-and builds ``final_state`` when read; only a result that keeps the whole
-state (no labeled branch, a failed sampled draw) runs the circuit densely.
+and builds ``final_state`` when read, as it does the whole state where no
+labeled branch exists; only a failed sampled draw runs the circuit densely.
 
 ``row_sum`` builds its labeled state from gates (Hadamards plus an
 all-zero-controlled flip); rows that cancel leave rounding noise there, not
@@ -101,6 +101,19 @@ class LabeledState:
         return PureState(self.layout, amps, _adopt=True)
 
 
+@dataclass(frozen=True, eq=False)
+class _NotMeasured:
+    """No labeled branch: ``post_state``, the flagged ``labeled_state()``, built on first read."""
+
+    labeled_state: Callable[[], PureState] = field(repr=False)
+    outcome = None
+    branch_weight = 0.0
+
+    @cached_property
+    def post_state(self) -> PureState:
+        return cnot(add_ancilla(self.labeled_state(), FLAG), (LABEL, 0), (FLAG, 0))
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     """What one pipeline run produced.
@@ -112,12 +125,12 @@ class PipelineReport:
     matrix/vector outputs, a unit complex number for phase outputs, or
     ``None`` on failure.  ``recovered_norm`` is the normalization constant
     reconstructed from the branch weight.  ``final_state`` is the
-    post-measurement state (the untouched input state on "not-measured");
-    after a closed-form stage's success it is built on first read, which
+    post-measurement state (on "not-measured", the whole flagged state);
+    after a success and on "not-measured" it is built on first read, which
     allocates the whole state.
     """
 
-    measurement: MeasureResult | LabeledBranch = field(repr=False)
+    measurement: MeasureResult | LabeledBranch | _NotMeasured = field(repr=False)
     gate_depth: int
     recovered_norm: float | None = None
     result: DecodedResult | complex | None = None
@@ -182,7 +195,7 @@ def prepare_labeled_state(
 
 def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
                  mode: str, seed: int, labeled_state: Callable[[], PureState],
-                 floor: float) -> MeasureResult | LabeledBranch:
+                 floor: float) -> MeasureResult | LabeledBranch | _NotMeasured:
     """Shared final stage: flag ancilla, labeling CNOT, branch extraction.
 
     ``amplitudes`` are the labeled branch (label |1>) at the strictly
@@ -190,8 +203,8 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     a flag appended last, so a success is extracted from them alone at
     ``2 * positions + 1``.  An empty branch, an ideal weight at most ``floor``
     and a failed sampled draw leave the whole state, garbage included, as the
-    final state, so they run the dense sequence on ``labeled_state()``; with
-    ``floor`` at most ``EMPTY_BRANCH_TOL``, an ideal one is "not-measured".
+    final state: the dense sequence on ``labeled_state()``, built on first
+    read for an ideal one, "not-measured" with ``floor`` at most ``EMPTY_BRANCH_TOL``.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -199,10 +212,10 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes, rng)
     if meas is not None and (rng is not None or meas.branch_weight > floor):
         return meas
-    st = cnot(add_ancilla(labeled_state(), FLAG), (LABEL, 0), (FLAG, 0))
+    unmeasured = _NotMeasured(labeled_state)
     if rng is None:
-        return MeasureResult(st, None, 0.0)
-    return measure_sampled(st, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
+        return unmeasured
+    return measure_sampled(unmeasured.post_state, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
 
 
 def _off_sector(block: np.ndarray) -> float:
@@ -284,32 +297,18 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
 # Hermitian conjugation: a plain unitary on the RCM encoding, no measurement.
 # ---------------------------------------------------------------------------
 
-def _pad_square(encoded: EncodedMatrix) -> EncodedMatrix:
-    """Embed an RCM encoding into equal-width R and C registers."""
-    layout = encoded.state.layout
-    wr, wc = layout.width("R"), layout.width("C")
-    if wr == wc:
-        return encoded
-    w = max(wr, wc)
-    new = _pad2(encoded.state.amplitudes.reshape(1 << wr, 1 << wc, 2), (1 << w, 1 << w, 2))
-    square = RegisterLayout([("R", w), ("C", w), ("M", 1)])
-    return EncodedMatrix(PureState(square, new.reshape(-1), _adopt=True), "RCM",
-                         encoded.rows, encoded.cols, encoded.scale)
-
-
 def hermitian_conjugate(encoded: EncodedMatrix) -> EncodedMatrix:
     """Conjugate-transpose an RCM-encoded matrix in place of the encoding.
 
     A Z on the real/imaginary marker negates the imaginary parts and a
     register swap transposes the indices; the operation is unitary, produces
-    no garbage, and is its own inverse.
+    no garbage, and is its own inverse; R and C exchange widths, so no shape is padded.
     """
     if encoded.scheme != "RCM":
         raise ValueError(f"hermitian_conjugate needs an RCM encoding, got {encoded.scheme!r}")
-    enc = _pad_square(encoded)
-    st = apply_single(enc.state, ("M", 0), "Z")
+    st = apply_single(encoded.state, ("M", 0), "Z")
     st = swap_registers(st, "R", "C")
-    return EncodedMatrix(st, "RCM", rows=enc.cols, cols=enc.rows, scale=enc.scale)
+    return EncodedMatrix(st, "RCM", rows=encoded.cols, cols=encoded.rows, scale=encoded.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +364,11 @@ def _closed_form_stage(
     ``registers`` precede the label; on the labeled branch those in ``fixed``
     hold that value and the rest (the payload) carry ``coeffs``, one axis
     each.  Success reports ``recover(sqrt(weight))`` and ``decode(block,
-    recovered)`` for the post-measurement payload ``block``.  Only
-    "not-measured" (every coefficient 0) and a failed sampled draw build the
-    full state, garbage included.  A nonzero branch whose weight underflows
-    too far into float64's subnormal range to renormalize raises
-    :class:`PreparationError`.
+    recovered)`` for the post-measurement payload ``block``.  Only a failed
+    sampled draw builds the full state, garbage included; "not-measured"
+    (every coefficient 0) builds it when ``final_state`` is read.  A nonzero
+    branch whose weight underflows too far into float64's subnormal range to
+    renormalize raises :class:`PreparationError`.
     """
     layout = RegisterLayout([*registers, (LABEL, 1)])
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -493,11 +492,9 @@ def determinant_phase(a, *, mode: str = "ideal", seed: int = 0,
             f"labeled coefficient magnitude {abs(coeff):.3e} exceeds 1; "
             f"pass a larger scale_exponent"
         )
-    if d != 0 and abs(coeff) ** 2 == 0.0:
-        raise PreparationError(
-            f"labeled weight |det(a) / 2^({scale_exponent}/2)|^2 underflows float64 "
-            f"(det {d:.3e}); pass a smaller scale_exponent"
-        )
+    if coeff == 0 != d:  # _closed_form_stage would read it as an empty branch
+        raise PreparationError(f"labeled coefficient det(a) / 2^({scale_exponent}/2) "
+                               f"underflows float64 (det {d:.3e}); pass a smaller scale_exponent")
     return _closed_form_stage(
         [("sys", 1), ("aux", 1)], {"sys": 0, "aux": 0}, coeff, mode, seed,
         recover=lambda root: root * divisor, decode=lambda block, _: _phase(block))

@@ -113,6 +113,23 @@ def test_add_opposite_matrices_exits_1(tmp_path, capsys):
     assert "labeled branch empty; state unchanged" in out
 
 
+def test_add_of_a_64x64_matrix_and_its_negation_exits_1(tmp_path, capsys):
+    # The not-measured state, 2^29 amplitudes with the flag, is never built.
+    a = np.random.default_rng(52).standard_normal((64, 64))
+    pa, pn = _write(tmp_path, "a.json", a), _write(tmp_path, "na.json", -a)
+    code, out = _run(capsys, ["add", pa, pn, "--output", "json"])
+    assert code == 1
+    assert '"outcome":"not-measured"' in out
+
+
+def test_hconj_of_a_1x65536_row_exits_0(tmp_path, capsys):
+    # Conjugated unpadded, the encoding holds 2^18 amplitudes, not 2^33.
+    path = _write(tmp_path, "row.json", np.arange(1.0, 65537.0).reshape(1, -1))
+    code, out = _run(capsys, ["hconj", path, "--output", "json"])
+    assert code == 0
+    assert '"rows":65536,"cols":1' in out
+
+
 def test_degenerate_inputs_exit_1(tmp_path, capsys):
     nil = _write(tmp_path, "nil.json", [[0.0, 1.0], [0.0, 0.0]])
     assert _run(capsys, ["mul", nil, nil])[0] == 1

@@ -98,11 +98,14 @@ def test_swap_registers_matches_permutation_oracle():
     np.testing.assert_allclose(swapped.amplitudes, expected, atol=0)
 
 
-def test_swap_registers_width_mismatch():
-    layout = RegisterLayout([("R", 2), ("C", 1)])
-    state = basis_state(layout, {"R": 0, "C": 0})
-    with pytest.raises(ValueError, match="width mismatch"):
-        swap_registers(state, "R", "C")
+def test_swap_registers_of_unequal_widths_matches_axis_transpose():
+    # Each register takes the other's width; B and D keep their place.
+    layout = RegisterLayout([("A", 2), ("B", 1), ("C", 3), ("D", 1)])
+    state = random_state(layout, np.random.default_rng(6))
+    swapped = swap_registers(state, "A", "C")
+    assert swapped.layout == RegisterLayout([("A", 3), ("B", 1), ("C", 2), ("D", 1)])
+    expected = state.amplitudes.reshape(4, 2, 8, 2).transpose(2, 1, 0, 3).reshape(-1)
+    assert swapped.amplitudes.tobytes() == expected.tobytes()
 
 
 def _zero_flip_oracle(width: int) -> np.ndarray:

@@ -372,6 +372,13 @@ def test_det_phase_weight_underflow_raises():
         determinant_phase(1e-100 * np.eye(2))
 
 
+def test_det_phase_coefficient_underflowing_to_zero_raises():
+    # Condition number 1 and det = 1e-300, but det / 2^(32^2/2) is 0.0: the
+    # branch exists, so it must not read as "not-measured".
+    with pytest.raises(PreparationError, match="coefficient .* underflows"):
+        determinant_phase(10.0 ** (-300 / 32) * np.eye(32))
+
+
 def _random16():
     return _rand(np.random.default_rng(0x4B), 16, 16)
 
@@ -913,6 +920,36 @@ def test_ideal_64x64_product_runs_in_megabytes():
     assert peak < 16 * 2**20
     want = a @ b
     assert np.max(np.abs(report.result.matrix - want)) <= ATOL * np.max(np.abs(want))
+
+
+def test_not_measured_64x64_sum_runs_in_megabytes():
+    # The labeled state holds 28 qubits, 4 GiB; a "not-measured" result builds
+    # it, with the flag, only when final_state is read.
+    a = _rand(np.random.default_rng(66), 64, 64)
+    tracemalloc.start()
+    try:
+        report = matrix_add(a, -a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.outcome is None and report.branch_weight == 0.0
+    assert peak < 16 * 2**20
+
+
+def test_conjugating_a_long_row_runs_in_megabytes():
+    # 2^18 amplitudes, 4 MiB; padded to equal R and C widths the encoding
+    # held 2^33 (128 GiB).
+    a = _rand(np.random.default_rng(65), 1, 65536)
+    tracemalloc.start()
+    try:
+        conj = hermitian_conjugate(encode_rcm(a))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert [conj.state.layout.width(name) for name in ("R", "C", "M")] == [16, 1, 1]
+    dec = decode_rcm(conj)
+    assert np.max(np.abs(dec.matrix - a.conj().T)) <= ATOL * np.max(np.abs(a))
 
 
 def test_prepare_labeled_state_draws_garbage_on_first_read():
