@@ -52,7 +52,6 @@ from .encode import (
     decode_rcm,
     encode_rc,
     encode_rcm,
-    extract_payload,
 )
 from .linalg import (
     OracleReport,
@@ -110,7 +109,6 @@ __all__ = [
     "decode_rcm",
     "encode_rc",
     "encode_rcm",
-    "extract_payload",
     "OracleReport",
     "SingularMatrixError",
     "bilinear",

@@ -9,14 +9,15 @@ Two schemes:
   conjugation acts as a plain unitary.
 
 Matrices are zero-padded up to power-of-two dimensions (each register needs
-at least one qubit); decoding crops back.  Amplitude encoding destroys the
-overall magnitude, so the Frobenius norm of the source is carried separately
-as ``scale``.
+at least one qubit); decoding reshapes the amplitudes of a state holding
+exactly the scheme's registers, in that order, and crops back.  Amplitude
+encoding destroys the overall magnitude, so the Frobenius norm of the source
+is carried separately as ``scale``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,12 @@ import numpy as np
 from .linalg import PreparationError
 from .states import PureState, RegisterLayout
 
-# Mass allowed outside the dominant basis assignment of non-payload registers.
-SECTOR_TOL = 1e-8
-
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # 2^-511
+_REGISTERS = {"RC": ("R", "C"), "RCM": ("R", "C", "M")}  # each scheme's layout, in order
 
 
 class NonProductSectorError(ValueError):
-    """Decoding failed: the non-payload registers are not in one basis state."""
+    """Decoding failed: no amplitude mass lies inside the decoded window."""
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,26 @@ class EncodedMatrix:
     scale: float
 
     def __post_init__(self):
-        if self.scheme not in ("RC", "RCM"):
+        if self.scheme not in _REGISTERS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be at least 1x1")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        _check_fields(self.state, self.scheme, self.rows, self.cols, self.scale)
+
+
+def _check_fields(state: PureState, scheme: str, rows: int, cols: int, scale) -> None:
+    """Raise ``ValueError`` unless ``state`` holds exactly ``scheme``'s registers
+    in order (``M`` of one qubit), ``rows`` and ``cols`` fit in ``R`` and ``C``,
+    and ``scale`` is finite and positive (``None``: unknown)."""
+    layout = state.layout
+    if layout.names != _REGISTERS[scheme] or (scheme == "RCM" and layout.width("M") != 1):
+        one_qubit_m = " with M of one qubit" if scheme == "RCM" else ""
+        raise ValueError(f"an {scheme} encoding holds exactly the registers {_REGISTERS[scheme]}"
+                         f"{one_qubit_m}; the state holds {layout.registers}")
+    for name, extent in (("R", rows), ("C", cols)):
+        limit = 1 << layout.width(name)
+        if not 1 <= extent <= limit:
+            raise ValueError(f"{name} extent {extent} outside [1, {limit}]")
+    if scale is not None and not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -137,46 +150,9 @@ def encode_rcm(matrix) -> EncodedMatrix:
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 
 
-def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarray, float]:
-    """Amplitudes over ``payload`` registers at the dominant basis assignment
-    of every other register.
-
-    Returns ``(block, off_sector_weight)``.  ``block`` has one axis per
-    payload register, in the order given; ``off_sector_weight`` is the
-    amplitude mass outside the dominant assignment.  ``block`` may be a
-    read-only view of the amplitudes (it is one when the payload is every
-    register in layout order); callers copy before writing.
-    """
-    layout = state.layout
-    payload = list(payload)
-    payload_axes = [ax for name in payload for ax in layout.axes(name)]
-
-    a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
-    front = 1 << len(payload_axes)
-    flat = a.reshape(front, -1)
-    mass = np.abs(flat)
-    mass *= mass
-    mass = mass.sum(axis=0)
-    k = int(np.argmax(mass))
-    off = float(max(0.0, 1.0 - mass[k]))
-
-    return flat[:, k].reshape([1 << layout.width(nm) for nm in payload]), off
-
-
-def _payload_mass(block: np.ndarray) -> float:
-    """Squared norm of one payload block, summed as :func:`extract_payload`
-    sums it when some register lies outside the payload.
-
-    There ``extract_payload`` reduces over the payload axes of a C-ordered
-    ``(payload, rest)`` array with ``rest > 1``, which adds the entries of a
-    column one after another in payload C order; a running sum in that order
-    gives its bits.  With every register in the payload numpy sums the one
-    column pairwise instead, and this sum has other bits.
-    """
-    return float(np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1])
-
-
-def _resolve_source(source, rows, cols, scale, scheme: str):
+def _window(source, rows, cols, scale, scheme: str) -> tuple[np.ndarray, float | None]:
+    """``(amplitudes, scale)``: the amplitudes reshaped to ``(2^wR, 2^wC[, 2])``
+    and cropped to ``rows x cols``, with the scale to decode at."""
     if isinstance(source, EncodedMatrix):
         if source.scheme != scheme:
             raise ValueError(f"expected scheme {scheme!r}, got {source.scheme!r}")
@@ -189,19 +165,12 @@ def _resolve_source(source, rows, cols, scale, scheme: str):
         if rows is None or cols is None:
             raise ValueError("rows and cols are required when decoding a bare state")
     rows, cols = int(rows), int(cols)
-    for name, extent in (("R", rows), ("C", cols)):
-        limit = 1 << state.layout.width(name)
-        if not 1 <= extent <= limit:
-            raise ValueError(f"{name} extent {extent} outside [1, {limit}]")
-    return state, rows, cols, scale
+    _check_fields(state, scheme, rows, cols, scale)
+    shape = [1 << width for _, width in state.layout.registers]
+    return state.amplitudes.reshape(shape)[:rows, :cols], scale
 
 
-def _finish(cropped: np.ndarray, scale, off: float) -> DecodedResult:
-    if off > SECTOR_TOL:
-        raise NonProductSectorError(
-            f"non-payload registers are not in a product basis state "
-            f"(off-sector mass {off:.3e})"
-        )
+def _finish(cropped: np.ndarray, scale) -> DecodedResult:
     keep = float(np.sum(np.abs(cropped) ** 2))
     residual = float(max(0.0, 1.0 - keep))
     if keep <= 0.0:
@@ -214,20 +183,18 @@ def _finish(cropped: np.ndarray, scale, off: float) -> DecodedResult:
 
 def decode_rc(source, rows: int | None = None, cols: int | None = None,
               scale: float | None = None) -> DecodedResult:
-    """Recover a matrix from an RC encoding (or any state holding R and C).
+    """Recover a matrix from an RC encoding, or from a bare state over exactly
+    ``R`` and ``C`` given ``rows`` and ``cols``.
 
-    Any register other than R and C must sit in a single basis state; the
-    decoded matrix is unit-Frobenius unless a scale is known.
+    A state holding any other register raises ``ValueError``; the decoded
+    matrix is unit-Frobenius unless a scale is known.
     """
-    state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RC")
-    block, off = extract_payload(state, ("R", "C"))
-    return _finish(block[:rows, :cols], scale, off)
+    return _finish(*_window(source, rows, cols, scale, "RC"))
 
 
 def decode_rcm(source, rows: int | None = None, cols: int | None = None,
                scale: float | None = None) -> DecodedResult:
-    """Recover a complex matrix from an RCM encoding."""
-    state, rows, cols, scale = _resolve_source(source, rows, cols, scale, "RCM")
-    block, off = extract_payload(state, ("R", "C", "M"))
-    cropped = block[:rows, :cols]
-    return _finish(cropped[:, :, 0] + 1j * cropped[:, :, 1], scale, off)
+    """Recover a complex matrix from an RCM encoding (bare state: exactly
+    ``R``, ``C`` and a one-qubit ``M``), as :func:`decode_rc` does."""
+    cropped, scale = _window(source, rows, cols, scale, "RCM")
+    return _finish(cropped[:, :, 0] + 1j * cropped[:, :, 1], scale)

@@ -37,8 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .encode import (DecodedResult, EncodedMatrix, _checked, _norm_scaling, _payload_mass,
-                     _reg_width)
+from .encode import DecodedResult, EncodedMatrix, _checked, _norm_scaling, _reg_width
 from .gates import (
     apply_single,
     cnot,
@@ -219,8 +218,15 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
 
 
 def _off_sector(block: np.ndarray) -> float:
-    """Mass outside a measured payload block, as :func:`extract_payload` reports it."""
-    return float(max(0.0, 1.0 - _payload_mass(block)))
+    """``1 - |block|^2``: the mass outside a measured payload block.
+
+    The squares are added one after another in C order, not pairwise.  The
+    eager decoders read the payload from the whole post-state and reduced a
+    C-ordered ``(payload, rest)`` array, ``rest > 1``, over axis 0, which sums
+    each column in that running order; the residual keeps it so that the
+    pinned ``residual`` bits hold.
+    """
+    return float(max(0.0, 1.0 - np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1]))
 
 
 def _scaled(direction: np.ndarray, known_scale: float, residual: float) -> DecodedResult:

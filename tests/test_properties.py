@@ -34,9 +34,11 @@ from qlasim import (
     swap_registers,
 )
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
-from qlasim.encode import _norm_scaling, _reg_width, extract_payload
+from qlasim.encode import _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _apply_1q, _flip_where
 from qlasim.pipelines import FLAG, LABEL, _closed_form_stage
+
+from _reference import extract_payload
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
