@@ -158,6 +158,17 @@ def test_decode_rejects_registers_outside_the_scheme():
         decode_rc(encode_rcm(a).state, rows=2, cols=2)
 
 
+def test_decode_rejects_leaked_ancilla_sector():
+    # 0.1 amplitude stranded in the other ancilla branch: the state holds a
+    # register outside the scheme, so the decode raises before reading any mass
+    layout = RegisterLayout([("R", 1), ("C", 1), ("A1", 1)])
+    amps = np.zeros(8, dtype=complex)
+    amps.reshape(2, 2, 2)[:, :, 1] = np.sqrt(1 - 0.01) / 2.0
+    amps.reshape(2, 2, 2)[0, 0, 0] = 0.1
+    with pytest.raises(ValueError, match=r"the state holds \(\('R', 1\), \('C', 1\), \('A1', 1\)\)"):
+        decode_rc(PureState(layout, amps), rows=2, cols=2)
+
+
 def test_decode_requires_dims_for_bare_state():
     enc = encode_rc([[1.0, 2.0]])
     with pytest.raises(ValueError, match="rows and cols"):
