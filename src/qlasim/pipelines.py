@@ -38,14 +38,8 @@ import numpy as np
 
 from . import linalg
 from .encode import DecodedResult, EncodedMatrix, _checked, _norm_scaling, _reg_width
-from .gates import (
-    apply_single,
-    cnot,
-    controlled_on_zero_flip,
-    hadamard_register,
-    mcx_decomposition_count,
-    swap_registers,
-)
+from .gates import (_swapped_copy, cnot, controlled_on_zero_flip, hadamard_register,
+                    mcx_decomposition_count)
 from .linalg import PreparationError
 from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
                       controlled_measure, extract_labeled_branch, measure_sampled)
@@ -266,13 +260,21 @@ def _phase(block: np.ndarray) -> complex:
 # Gate-built pipeline: sum over the column index of an RC-encoded matrix.
 # ---------------------------------------------------------------------------
 
-def _row_sum_labeled(encoded: EncodedMatrix) -> PureState:
-    """State after Hadamards on C and the garbage-labeling flip."""
+def _row_sums_at_column_zero(encoded: EncodedMatrix) -> PureState:
+    """Hadamards on C of an RC encoding, which put each row's sum at C=0."""
     if encoded.scheme != "RC":
         raise ValueError(f"row_sum needs an RC encoding, got {encoded.scheme!r}")
-    st = hadamard_register(encoded.state, "C")
-    st = add_ancilla(st, LABEL)
-    return controlled_on_zero_flip(st, "C", (LABEL, 0))
+    return hadamard_register(encoded.state, "C")
+
+
+def _label_column_zero(summed: PureState) -> PureState:
+    """The label appended and flipped to |1> where C is all zeros."""
+    return controlled_on_zero_flip(add_ancilla(summed, LABEL), "C", (LABEL, 0))
+
+
+def _row_sum_labeled(encoded: EncodedMatrix) -> PureState:
+    """State after Hadamards on C and the garbage-labeling flip."""
+    return _label_column_zero(_row_sums_at_column_zero(encoded))
 
 
 def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -283,14 +285,15 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     final stage extracts it.  The decoded vector is proportional to the row
     sums; the branch weight equals (sum_i |row_sum_i|^2) / 2^(width of C) at
     amplitude level, and the normalization constant is recovered from it.
+    A success reads the Hadamards' C=0 column; the label and flip run only on a full build.
     """
     n_sum = encoded.state.layout.width("C")
     depth = n_sum + mcx_decomposition_count(n_sum).depth + 1
-    labeled = _row_sum_labeled(encoded)
-    layout = labeled.layout
+    summed = _row_sums_at_column_zero(encoded)
+    layout = summed.layout.extended(LABEL)
     positions = layout.indices_of({"R": np.arange(1 << layout.width("R")), "C": 0, LABEL: 1})
-    meas = _final_stage(layout, positions, labeled.amplitudes[positions], mode, seed,
-                        lambda: labeled, EMPTY_BRANCH_TOL)
+    meas = _final_stage(layout, positions, summed.amplitudes.reshape(-1, 1 << n_sum)[:, 0],
+                        mode, seed, lambda: _label_column_zero(summed), EMPTY_BRANCH_TOL)
     if meas.outcome != 1:
         return PipelineReport(meas, depth)
 
@@ -309,12 +312,16 @@ def hermitian_conjugate(encoded: EncodedMatrix) -> EncodedMatrix:
     A Z on the real/imaginary marker negates the imaginary parts and a
     register swap transposes the indices; the operation is unitary, produces
     no garbage, and is its own inverse; R and C exchange widths, so no shape is padded.
+    The simulator applies both in one copy: it negates the M=1 half (M is the
+    last qubit) of the swap's fresh buffer, so at peak it holds two buffers.
     """
     if encoded.scheme != "RCM":
         raise ValueError(f"hermitian_conjugate needs an RCM encoding, got {encoded.scheme!r}")
-    st = apply_single(encoded.state, ("M", 0), "Z")
-    st = swap_registers(st, "R", "C")
-    return EncodedMatrix(st, "RCM", rows=encoded.cols, cols=encoded.rows, scale=encoded.scale)
+    layout, amps = _swapped_copy(encoded.state, "R", "C")
+    imaginary = amps.reshape(-1, 2)[:, 1]
+    np.negative(imaginary, out=imaginary)
+    return EncodedMatrix(PureState(layout, amps, _adopt=True), "RCM",
+                         rows=encoded.cols, cols=encoded.rows, scale=encoded.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +618,7 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
         sums = linalg.row_sums(amp_matrix)
         analytic_p = float(np.sum(np.abs(sums) ** 2) / (1 << n_r))
 
-        pre = add_ancilla(_row_sum_labeled(encoded), FLAG)
-        pre = cnot(pre, (LABEL, 0), (FLAG, 0))
+        pre = cnot(add_ancilla(_row_sum_labeled(encoded), FLAG), (LABEL, 0), (FLAG, 0))
         p1 = branch_probability(pre, (FLAG, 0), 1)
         hits = int(np.count_nonzero(draws < p1))
         controlled = controlled_measure(pre, (LABEL, 0), (FLAG, 0))

@@ -134,6 +134,17 @@ def test_decode_rcm_sign_flip():
     np.testing.assert_allclose(dec.matrix, -a, atol=1e-12)
 
 
+def test_decode_rcm_keeps_both_parts_of_complex_bare_amplitudes():
+    # Each entry is c0 + 1j * c1 for the marker's two amplitudes, both complex
+    # here; dropping the imaginary part of either changes the answer.
+    amps = _random_matrix(np.random.default_rng(11), 8, 1).reshape(-1)
+    state = PureState(RegisterLayout([("R", 1), ("C", 1), ("M", 1)]), amps / np.linalg.norm(amps))
+    c = state.amplitudes.reshape(2, 2, 2)
+    entries = c[:, :, 0] + 1j * c[:, :, 1]
+    want = entries / np.sqrt(np.sum(np.abs(entries) ** 2))
+    assert decode_rcm(state, rows=2, cols=2).matrix.tobytes() == want.tobytes()
+
+
 def test_decode_without_scale_gives_unit_direction():
     rng = np.random.default_rng(12)
     a = _random_matrix(rng, 2, 2)

@@ -34,6 +34,7 @@ from qlasim import (
     stream,
     swap_registers,
 )
+from qlasim import pipelines
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
 from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled, _scale_divisor
@@ -107,6 +108,45 @@ def test_row_sum_gate_depth_is_linear_in_summed_width():
     assert depths[1] == 5  # 1 Hadamard + depth-3 flip + labeling CNOT
     for n_c in (2, 3):
         assert depths[n_c + 1] - depths[n_c] == 5  # one Hadamard + 4 flip layers
+
+
+@pytest.fixture
+def labeling_calls(monkeypatch):
+    """The register each ``pipelines.add_ancilla`` call appends, and the number
+    of ``pipelines.controlled_on_zero_flip`` calls."""
+    calls = {"ancillas": [], "flips": 0}
+    add, flip = pipelines.add_ancilla, pipelines.controlled_on_zero_flip
+
+    def counted_add(state, name, *args):
+        calls["ancillas"].append(name)
+        return add(state, name, *args)
+
+    def counted_flip(*args):
+        calls["flips"] += 1
+        return flip(*args)
+
+    monkeypatch.setattr(pipelines, "add_ancilla", counted_add)
+    monkeypatch.setattr(pipelines, "controlled_on_zero_flip", counted_flip)
+    return calls
+
+
+def test_successful_row_sum_builds_no_labeled_state(labeling_calls):
+    # A success reads the C=0 column of the Hadamard output alone.
+    report = row_sum(encode_rc(_rand(np.random.default_rng(37), 4, 8)))
+    assert report.outcome == 1
+    report.final_state
+    assert labeling_calls == {"ancillas": [], "flips": 0}
+
+
+def test_not_measured_row_sum_builds_the_labeled_state_on_read(labeling_calls):
+    s = 1 / np.sqrt(2)
+    report = row_sum(encode_rc([[s, -s], [0.0, 0.0]]))
+    assert report.outcome is None
+    assert labeling_calls == {"ancillas": [], "flips": 0}
+    report.final_state
+    report.final_state
+    # The label and its flip once; the flag is the final stage's own.
+    assert labeling_calls == {"ancillas": [LABEL, FLAG], "flips": 1}
 
 
 # --- Hermitian conjugation ----------------------------------------------------
@@ -949,6 +989,19 @@ def test_conjugating_a_long_row_runs_in_megabytes():
     assert [conj.state.layout.width(name) for name in ("R", "C", "M")] == [16, 1, 1]
     dec = decode_rcm(conj)
     assert np.max(np.abs(dec.matrix - a.conj().T)) <= ATOL * np.max(np.abs(a))
+
+
+def test_conjugation_holds_one_buffer_beside_its_input():
+    # Z and then the swap each copied the state; fused, the swap's copy is
+    # the one buffer allocated.
+    enc = encode_rcm(_rand(np.random.default_rng(67), 256, 256))
+    tracemalloc.start()
+    try:
+        conj = hermitian_conjugate(enc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * conj.state.amplitudes.nbytes
 
 
 def test_prepare_labeled_state_draws_garbage_on_first_read():

@@ -282,6 +282,25 @@ def test_hermitian_conjugation_decodes_as_the_reference_chain(a):
     assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
 
 
+def _long_row_with_signed_zeros():
+    a = np.zeros((1, 65536), dtype=np.complex128)
+    a.real = np.cos(np.arange(65536))
+    a.imag = np.copysign(0.0, np.sin(np.arange(65536)))
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugation_inputs())
+@example(_long_row_with_signed_zeros())
+@example(np.arange(51).reshape(3, 17) * complex(-0.0, 1.0))  # R 2 and C 5 qubits wide
+def test_hermitian_conjugation_state_is_z_then_swap(a):
+    enc = encode_rcm(a)
+    got = hermitian_conjugate(enc).state
+    want = swap_registers(apply_single(enc.state, ("M", 0), "Z"), "R", "C")
+    assert got.layout == want.layout
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 # --- add, mul, solve and inner answers under a -> c*a over float64's range --
 
 @st.composite
