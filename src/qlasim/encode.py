@@ -170,12 +170,14 @@ def _window(source, rows, cols, scale, scheme: str) -> tuple[np.ndarray, float |
     return state.amplitudes.reshape(shape)[:rows, :cols], scale
 
 
-def _finish(cropped: np.ndarray, scale) -> DecodedResult:
-    keep = float(np.sum(np.abs(cropped) ** 2))
+def _finish(matrix: np.ndarray, scale) -> DecodedResult:
+    """Normalize and scale ``matrix``, a fresh buffer, in place."""
+    mass = np.abs(matrix)
+    keep = float(np.sum(np.square(mass, out=mass)))
     residual = float(max(0.0, 1.0 - keep))
     if keep <= 0.0:
         raise NonProductSectorError("no amplitude mass inside the decoded window")
-    matrix = cropped / np.sqrt(keep)
+    np.divide(matrix, np.sqrt(keep), out=matrix)
     if scale is not None:
         matrix *= scale
     return DecodedResult(matrix=matrix, known_scale=scale, residual=residual)
@@ -189,7 +191,8 @@ def decode_rc(source, rows: int | None = None, cols: int | None = None,
     A state holding any other register raises ``ValueError``; the decoded
     matrix is unit-Frobenius unless a scale is known.
     """
-    return _finish(*_window(source, rows, cols, scale, "RC"))
+    cropped, scale = _window(source, rows, cols, scale, "RC")
+    return _finish(cropped.copy(), scale)
 
 
 def decode_rcm(source, rows: int | None = None, cols: int | None = None,
@@ -197,4 +200,5 @@ def decode_rcm(source, rows: int | None = None, cols: int | None = None,
     """Recover a complex matrix from an RCM encoding (bare state: exactly
     ``R``, ``C`` and a one-qubit ``M``), as :func:`decode_rc` does."""
     cropped, scale = _window(source, rows, cols, scale, "RCM")
-    return _finish(cropped[:, :, 0] + 1j * cropped[:, :, 1], scale)
+    z = 1j * cropped[:, :, 1]
+    return _finish(np.add(cropped[:, :, 0], z, out=z), scale)

@@ -22,18 +22,23 @@ PAULI = {
 }
 
 
-def _apply_1q(amps: np.ndarray, n: int, position: int, matrix: np.ndarray) -> np.ndarray:
-    # One BLAS product over the target axis; pinned outputs rely on its rounding.
-    a = amps.reshape(1 << position, 2, 1 << (n - position - 1))
-    return np.tensordot(matrix, a, axes=([1], [1])).transpose(1, 0, 2).reshape(-1)
-
-
 def hadamard_register(state: PureState, register_name: str) -> PureState:
-    """Hadamard on every qubit of a register."""
-    amps = state.amplitudes
-    for position in state.layout.axes(register_name):
-        amps = _apply_1q(amps, state.n_qubits, position, _H)
-    return PureState(state.layout, amps, _adopt=True)
+    """Hadamard on every qubit of a register: one BLAS product and one
+    transposed copy per qubit.
+
+    Each product is ``np.dot(_H, bt)`` on the ``(2, M)`` operand that
+    ``np.tensordot`` builds for that qubit alone (target leading, the other
+    qubits in natural order); the pinned outputs rest on that kernel's
+    rounding, so the operands must not change.  The copy between qubits p
+    and p+1 moves p back in place and p+1 to the front.
+    """
+    positions = state.layout.axes(register_name)
+    bt = state.amplitudes.reshape(1 << positions[0], 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    for position in positions[:-1]:
+        out = np.dot(_H, bt)
+        bt = out.reshape(2, 1 << position, 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
+    out = np.dot(_H, bt).reshape(2, 1 << positions[-1], -1)
+    return PureState(state.layout, out.transpose(1, 0, 2).reshape(-1), _adopt=True)
 
 
 def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:

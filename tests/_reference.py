@@ -4,6 +4,11 @@
 of every register outside a payload, as the package ran it before decoding
 read only its own scheme's registers.  The reference chains that pin the
 final stages' bits against the dense circuit decode through it unchanged.
+
+``_apply_1q`` is the one-qubit gate as one ``np.tensordot`` product, which
+the Hadamard ran once per qubit before it kept its operand transposed
+between qubits.  ``decode_rcm_reference`` is ``decode_rcm``'s arithmetic as
+it ran before it decoded in place.
 """
 
 from collections.abc import Sequence
@@ -37,3 +42,19 @@ def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarra
     off = float(max(0.0, 1.0 - mass[k]))
 
     return flat[:, k].reshape([1 << layout.width(nm) for nm in payload]), off
+
+
+def _apply_1q(amps: np.ndarray, n: int, position: int, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` on qubit ``position`` of an ``n``-qubit amplitude vector."""
+    a = amps.reshape(1 << position, 2, 1 << (n - position - 1))
+    return np.tensordot(matrix, a, axes=([1], [1])).transpose(1, 0, 2).reshape(-1)
+
+
+def decode_rcm_reference(cropped: np.ndarray, scale) -> tuple[np.ndarray, float]:
+    """``(matrix, residual)`` of a ``(rows, cols, 2)`` RCM window."""
+    z = cropped[:, :, 0] + 1j * cropped[:, :, 1]
+    keep = float(np.sum(np.abs(z) ** 2))
+    matrix = z / np.sqrt(keep)
+    if scale is not None:
+        matrix = matrix * scale
+    return matrix, float(max(0.0, 1.0 - keep))

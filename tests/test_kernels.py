@@ -26,8 +26,10 @@ from qlasim import (
     stream,
     swap_registers,
 )
-from qlasim.gates import PAULI, _H, _apply_1q, _flip_where
+from qlasim.gates import PAULI, _H, _flip_where
 from qlasim.measure import _sector, _sparse_pairwise_sum, extract_labeled_branch
+
+from _reference import _apply_1q
 
 GATES = {"H": _H, **PAULI}
 
@@ -89,6 +91,35 @@ def test_public_gates_match_reference_kernel():
     for gate in ("X", "Z"):
         got = apply_single(state, ("M", 0), gate).amplitudes
         assert np.array_equal(got, _apply_1q_reference(state.amplitudes, 8, 7, PAULI[gate]))
+
+
+@st.composite
+def three_register_states(draw):
+    """States over three registers of 1-4 qubits each, holding exact and
+    signed zeros in both parts."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    layout = RegisterLayout(list(zip("ABC", widths)))
+    n = layout.total_qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, 1 << n))
+    parts[rng.random(parts.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    if not np.any(parts):
+        parts[0, -1] = -1.0
+    amps = np.empty(1 << n, dtype=np.complex128)
+    amps.real, amps.imag = parts / np.sqrt(np.sum(parts**2))
+    return PureState(layout, amps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_register_states())
+def test_hadamard_register_has_the_bytes_of_one_qubit_at_a_time(state):
+    # tobytes, since np.array_equal does not tell -0.0 from 0.0.
+    for name in state.layout.names:
+        want = state.amplitudes
+        for position in state.layout.axes(name):
+            want = _apply_1q(want, state.n_qubits, position, _H)
+        assert hadamard_register(state, name).amplitudes.tobytes() == want.tobytes(), name
 
 
 def test_pauli_gates_match_reference_kernel_at_every_position():

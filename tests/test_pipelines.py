@@ -1004,6 +1004,19 @@ def test_conjugation_holds_one_buffer_beside_its_input():
     assert peak < 1.25 * conj.state.amplitudes.nbytes
 
 
+def test_decode_rcm_allocates_its_matrix_and_one_real_buffer():
+    # c0 + 1j * c1, its squared magnitudes and the division each allocated a
+    # buffer; decoding in place keeps the matrix and one |z| buffer.
+    conj = hermitian_conjugate(encode_rcm(_rand(np.random.default_rng(68), 512, 512)))
+    tracemalloc.start()
+    try:
+        dec = decode_rcm(conj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * dec.matrix.nbytes
+
+
 def test_prepare_labeled_state_draws_garbage_on_first_read():
     layout = RegisterLayout([("v", 3), (LABEL, 1)])
     rng = stream(9, 0)

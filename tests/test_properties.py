@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qlasim import (
     EMPTY_BRANCH_TOL,
+    PureState,
     RegisterLayout,
     add_ancilla,
     apply_single,
@@ -35,10 +36,10 @@ from qlasim import (
 )
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.encode import _norm_scaling, _reg_width
-from qlasim.gates import PAULI, _apply_1q, _flip_where
+from qlasim.gates import PAULI, _flip_where
 from qlasim.pipelines import FLAG, LABEL, _closed_form_stage
 
-from _reference import extract_payload
+from _reference import _apply_1q, decode_rcm_reference, extract_payload
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -299,6 +300,37 @@ def test_hermitian_conjugation_state_is_z_then_swap(a):
     want = swap_registers(apply_single(enc.state, ("M", 0), "Z"), "R", "C")
     assert got.layout == want.layout
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+@st.composite
+def bare_rcm_windows(draw):
+    """``(state, rows, cols, scale)``: a complex state over R, C and M of up to
+    5 + 5 + 1 qubits holding exact and signed zeros, a window inside its
+    registers with some mass, and no scale or one in [1e-100, 1e100]."""
+    wr, wc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(1, 1 << wr)), draw(st.integers(1, 1 << wc))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, 1 << wr, 1 << wc, 2))
+    parts[rng.random(parts.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    assume(np.any(parts[:, :rows, :cols]))
+    amps = np.empty(parts.shape[1:], dtype=np.complex128)
+    amps.real, amps.imag = parts / np.sqrt(np.sum(parts**2))
+    layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
+    scale = draw(st.none() | st.floats(1e-100, 1e100))
+    return PureState(layout, amps.reshape(-1)), rows, cols, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(bare_rcm_windows())
+def test_decode_rcm_has_the_bytes_of_the_out_of_place_decode(case):
+    state, rows, cols, scale = case
+    got = decode_rcm(state, rows, cols, scale)
+    window = state.amplitudes.reshape(1 << state.layout.width("R"), -1, 2)[:rows, :cols]
+    matrix, residual = decode_rcm_reference(window, scale)
+    assert got.matrix.tobytes() == matrix.tobytes()
+    assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
+    assert got.known_scale == scale
 
 
 # --- add, mul, solve and inner answers under a -> c*a over float64's range --
