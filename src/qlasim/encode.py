@@ -144,8 +144,9 @@ def encode_rcm(matrix) -> EncodedMatrix:
     if not scale:
         raise ValueError("cannot encode an all-zero matrix")
     padded = np.zeros((1 << wr, 1 << wc, 2), dtype=np.complex128)
-    np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
-    np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
+    # One divide: each entry's (re, im) pair lands on the real parts of M=0, M=1.
+    parts = np.ascontiguousarray(b).view(np.float64).reshape(rows, cols, 2)
+    np.divide(parts, divisor, out=padded.view(np.float64)[:rows, :cols, ::2])
     layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
 

@@ -4,6 +4,11 @@ The simulator applies the all-zero-controlled flip directly as a basis-indexed
 permutation; the Toffoli-ladder decomposition behind
 :func:`mcx_decomposition_count` is never executed, it only prices that flip in
 elementary gates (serial depth model: every gate costs one layer).
+
+The Hadamard on a register runs one BLAS product and one transposed copy per
+qubit, on one cache-sized block of the buffer at a time: a block is a run of
+values of the qubits before the register, and each block takes every qubit's
+product before the next block starts.
 """
 
 from __future__ import annotations
@@ -20,25 +25,46 @@ PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+# Amplitude bytes per block of hadamard_register: a power of two, so blocks
+# tile the buffer, and sized so a block and its two temporaries stay in a
+# core's L2 cache.  At least 256 bytes (8 columns per operand): BLAS kernels
+# may round narrower products differently from the same columns of a wide one.
+_BLOCK_BYTES = 1 << 18
 
 
 def hadamard_register(state: PureState, register_name: str) -> PureState:
-    """Hadamard on every qubit of a register: one BLAS product and one
-    transposed copy per qubit.
+    """Hadamard on every qubit of a register: per block of leading-qubit
+    values, one BLAS product and one transposed copy per qubit.
 
     Each product is ``np.dot(_H, bt)`` on the ``(2, M)`` operand that
     ``np.tensordot`` builds for that qubit alone (target leading, the other
     qubits in natural order); the pinned outputs rest on that kernel's
     rounding, so the operands must not change.  The copy between qubits p
-    and p+1 moves p back in place and p+1 to the front.
+    and p+1 moves p back in place and p+1 to the front, and the copy after
+    the last qubit writes the block's part of the output.
+
+    The qubits before the register lead every operand's column index, so a
+    run of their values is a run of columns in every operand, and an output
+    column of the product depends on its own input column only.  The chain
+    therefore runs one run of about :data:`_BLOCK_BYTES` at a time, which
+    stays in cache between its passes, with the bytes of the whole-buffer
+    chain.  A register with no qubits before it is one block.
     """
     positions = state.layout.axes(register_name)
-    bt = state.amplitudes.reshape(1 << positions[0], 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    for position in positions[:-1]:
-        out = np.dot(_H, bt)
-        bt = out.reshape(2, 1 << position, 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
-    out = np.dot(_H, bt).reshape(2, 1 << positions[-1], -1)
-    return PureState(state.layout, out.transpose(1, 0, 2).reshape(-1), _adopt=True)
+    first, last = positions[0], positions[-1]
+    amps = state.amplitudes
+    span = amps.size >> first  # amplitudes per value of the leading qubits
+    lead = min(1 << first, max(1, _BLOCK_BYTES // (span * amps.itemsize)))
+    result = np.empty_like(amps)
+    for block, dst in zip(amps.reshape(-1, lead * span), result.reshape(-1, lead * span)):
+        bt = block.reshape(lead, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        for position in positions[:-1]:
+            out = np.dot(_H, bt)
+            before = lead << (position - first)  # values of the qubits before position
+            bt = out.reshape(2, before, 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
+        before = lead << (last - first)
+        dst.reshape(before, 2, -1)[...] = np.dot(_H, bt).reshape(2, before, -1).transpose(1, 0, 2)
+    return PureState(state.layout, result, _adopt=True)
 
 
 def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:

@@ -8,7 +8,8 @@ final stages' bits against the dense circuit decode through it unchanged.
 ``_apply_1q`` is the one-qubit gate as one ``np.tensordot`` product, which
 the Hadamard ran once per qubit before it kept its operand transposed
 between qubits.  ``decode_rcm_reference`` is ``decode_rcm``'s arithmetic as
-it ran before it decoded in place.
+it ran before it decoded in place, and ``encode_rcm_reference`` is
+``encode_rcm``'s as it ran with one strided divide per part.
 """
 
 from collections.abc import Sequence
@@ -16,6 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from qlasim import PureState
+from qlasim.encode import _checked, _norm_scaling, _reg_width
 
 
 def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarray, float]:
@@ -58,3 +60,14 @@ def decode_rcm_reference(cropped: np.ndarray, scale) -> tuple[np.ndarray, float]
     if scale is not None:
         matrix = matrix * scale
     return matrix, float(max(0.0, 1.0 - keep))
+
+
+def encode_rcm_reference(matrix) -> np.ndarray:
+    """``encode_rcm``'s amplitudes: real parts at M=0, imaginary parts at M=1."""
+    a = _checked(matrix)
+    rows, cols = a.shape
+    b, divisor, _ = _norm_scaling(a)
+    padded = np.zeros((1 << _reg_width(rows), 1 << _reg_width(cols), 2), dtype=np.complex128)
+    np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
+    np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
+    return padded.reshape(-1)

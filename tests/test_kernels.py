@@ -5,6 +5,9 @@ every output must be equal value for value (``np.array_equal``, which does
 not tell +0 from -0) and every branch weight equal as a float.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from qlasim import (
     stream,
     swap_registers,
 )
+from qlasim import gates
 from qlasim.gates import PAULI, _H, _flip_where
 from qlasim.measure import _sector, _sparse_pairwise_sum, extract_labeled_branch
 
@@ -111,15 +115,59 @@ def three_register_states(draw):
     return PureState(layout, amps)
 
 
-@settings(max_examples=150, deadline=None)
-@given(three_register_states())
-def test_hadamard_register_has_the_bytes_of_one_qubit_at_a_time(state):
+def _assert_hadamard_bytes_of_one_qubit_at_a_time(state):
     # tobytes, since np.array_equal does not tell -0.0 from 0.0.
     for name in state.layout.names:
         want = state.amplitudes
         for position in state.layout.axes(name):
             want = _apply_1q(want, state.n_qubits, position, _H)
         assert hadamard_register(state, name).amplitudes.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_register_states())
+def test_hadamard_register_has_the_bytes_of_one_qubit_at_a_time(state):
+    _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_register_states())
+def test_hadamard_register_keeps_the_bytes_across_small_blocks(state):
+    # 256 bytes is 16 amplitudes, so states of 3-12 qubits split into up to
+    # 256 blocks, each an operand of at least 8 columns.  Narrower products
+    # need not match the same columns of a wide one: on the SkylakeX kernel
+    # one column differs in value, and 2, 3, 5, 6 or 7 in the sign of a zero.
+    with mock.patch.object(gates, "_BLOCK_BYTES", 256):
+        _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+def test_hadamard_register_keeps_the_bytes_across_default_blocks():
+    # 2^15 amplitudes: B has 4 leading qubits and a trailing register, so it
+    # runs in blocks of several leading values; C runs in blocks after 9
+    # leading qubits, and A, with no leading qubit, runs as one block.
+    rng = np.random.default_rng(15)
+    layout = RegisterLayout([("A", 4), ("B", 5), ("C", 6)])
+    parts = rng.standard_normal((2, layout.dim))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts / np.sqrt(np.sum(parts**2))
+    state = PureState(layout, amps)
+    assert state.amplitudes.nbytes >= 2 * gates._BLOCK_BYTES
+    _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+def test_hadamard_register_allocates_its_output_and_cache_sized_blocks():
+    # The whole-buffer chain peaked at 3.0x the state's bytes: it held an
+    # operand, its product and the next operand, each as large as the state.
+    state = encode_rc(np.random.default_rng(512).standard_normal((512, 512))).state
+    tracemalloc.start()
+    try:
+        hadamard_register(state, "C")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state.amplitudes.nbytes
 
 
 def test_pauli_gates_match_reference_kernel_at_every_position():

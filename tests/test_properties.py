@@ -39,7 +39,7 @@ from qlasim.encode import _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _flip_where
 from qlasim.pipelines import FLAG, LABEL, _closed_form_stage
 
-from _reference import _apply_1q, decode_rcm_reference, extract_payload
+from _reference import _apply_1q, decode_rcm_reference, encode_rcm_reference, extract_payload
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -331,6 +331,31 @@ def test_decode_rcm_has_the_bytes_of_the_out_of_place_decode(case):
     assert got.matrix.tobytes() == matrix.tobytes()
     assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
     assert got.known_scale == scale
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Complex matrices of up to 40x40 holding exact and signed zeros in both
+    parts, scaled log-uniformly in [1e-300, 1e300], C- or Fortran-ordered,
+    never all zero."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, rows, cols))
+    parts[rng.random(parts.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    assume(np.any(parts))
+    a = np.empty((rows, cols), dtype=np.complex128, order=draw(st.sampled_from("CF")))
+    a.real, a.imag = parts * 10.0 ** draw(st.floats(-300, 300))
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_matrices())
+# Norms past float64's normal range take _norm_scaling's power-of-two path.
+@example(np.array([[complex(-0.0, 1e-300), complex(1e-300, -0.0)]]))
+@example(np.array([[complex(1e300, 0.0)], [complex(-1e300, -0.0)]]))
+def test_encode_rcm_has_the_bytes_of_one_divide_per_part(a):
+    assert encode_rcm(a).state.amplitudes.tobytes() == encode_rcm_reference(a).tobytes()
 
 
 # --- add, mul, solve and inner answers under a -> c*a over float64's range --
