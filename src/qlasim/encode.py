@@ -12,7 +12,8 @@ Matrices are zero-padded up to power-of-two dimensions (each register needs
 at least one qubit); decoding reshapes the amplitudes of a state holding
 exactly the scheme's registers, in that order, and crops back.  Amplitude
 encoding destroys the overall magnitude, so the Frobenius norm of the source
-is carried separately as ``scale``.
+is carried separately as ``scale``.  Every :class:`DecodedResult`, the
+pipelines' too, is finished here, its known scale checked against float64.
 """
 
 from __future__ import annotations
@@ -171,17 +172,25 @@ def _window(source, rows, cols, scale, scheme: str) -> tuple[np.ndarray, float |
     return state.amplitudes.reshape(shape)[:rows, :cols], scale
 
 
-def _finish(matrix: np.ndarray, scale) -> DecodedResult:
-    """Normalize and scale ``matrix``, a fresh buffer, in place."""
+def _scaled(matrix: np.ndarray, scale, residual: float) -> DecodedResult:
+    """``matrix`` times ``scale`` in place (``None``: unknown), which float64 must hold."""
+    if scale is not None:
+        if not 0.0 < scale < math.inf:
+            raise PreparationError("the result's norm is outside float64's range")
+        matrix *= scale
+    return DecodedResult(matrix=matrix, known_scale=scale, residual=residual)
+
+
+def _finish(matrix: np.ndarray, scale, off_sector: float = 0.0) -> DecodedResult:
+    """Normalize and scale ``matrix``, a fresh buffer, in place; the residual adds
+    ``off_sector``, the mass known to lie outside ``matrix``."""
     mass = np.abs(matrix)
     keep = float(np.sum(np.square(mass, out=mass)))
-    residual = float(max(0.0, 1.0 - keep))
+    residual = float(max(0.0, 1.0 - keep)) + off_sector
     if keep <= 0.0:
         raise NonProductSectorError("no amplitude mass inside the decoded window")
     np.divide(matrix, np.sqrt(keep), out=matrix)
-    if scale is not None:
-        matrix *= scale
-    return DecodedResult(matrix=matrix, known_scale=scale, residual=residual)
+    return _scaled(matrix, scale, residual)
 
 
 def decode_rc(source, rows: int | None = None, cols: int | None = None,

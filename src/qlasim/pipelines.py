@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .encode import DecodedResult, EncodedMatrix, _checked, _norm_scaling, _reg_width
+from .encode import (DecodedResult, EncodedMatrix, _checked, _finish, _norm_scaling, _reg_width,
+                     _scaled)
 from .gates import (_swapped_copy, cnot, controlled_on_zero_flip, hadamard_register,
                     mcx_decomposition_count)
 from .linalg import PreparationError
@@ -104,7 +105,12 @@ class _NotMeasured:
 
     @cached_property
     def post_state(self) -> PureState:
-        return cnot(add_ancilla(self.labeled_state(), FLAG), (LABEL, 0), (FLAG, 0))
+        return _flagged(self.labeled_state())
+
+
+def _flagged(state: PureState) -> PureState:
+    """``state`` with the flag appended and the label copied onto it."""
+    return cnot(add_ancilla(state, FLAG), (LABEL, 0), (FLAG, 0))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ def prepare_labeled_state(
         raise ValueError(f"payload key {key!r} must assign the {len(other)} non-label registers")
     columns = np.fromiter(itertools.chain.from_iterable(payload), dtype=np.int64,
                           count=len(payload) * len(other)).reshape(len(payload), len(other)).T
-    positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: 1})
+    label = np.ones(len(payload), dtype=np.int64)  # one position per key, also over the label alone
+    positions = layout.indices_of({**dict(zip(other, columns)), label_ancilla: label})
     coeffs = np.fromiter(payload.values(), dtype=np.complex128, count=len(payload))
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("payload coefficients must be finite")
@@ -205,10 +212,9 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     meas = extract_labeled_branch(layout.extended(FLAG), 2 * positions + 1, amplitudes, rng)
     if meas is not None and (rng is not None or meas.branch_weight > floor):
         return meas
-    unmeasured = _NotMeasured(labeled_state)
     if rng is None:
-        return unmeasured
-    return measure_sampled(unmeasured.post_state, (FLAG, 0), stream(seed, _SAMPLE_STREAM))
+        return _NotMeasured(labeled_state)
+    return measure_sampled(_flagged(labeled_state()), (FLAG, 0), stream(seed, _SAMPLE_STREAM))
 
 
 def _off_sector(block: np.ndarray) -> float:
@@ -223,31 +229,20 @@ def _off_sector(block: np.ndarray) -> float:
     return float(max(0.0, 1.0 - np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1]))
 
 
-def _scaled(direction: np.ndarray, known_scale: float, residual: float) -> DecodedResult:
-    """``direction`` at ``known_scale``; :class:`PreparationError` where float64
-    cannot hold that scale (it over- or underflowed on the way)."""
-    if not 0.0 < known_scale < math.inf:
-        raise PreparationError("the result's norm is outside float64's range")
-    return DecodedResult(matrix=direction * known_scale, known_scale=known_scale,
-                         residual=residual)
-
-
 def _decoded_block(block: np.ndarray, crop: tuple[int, ...], known_scale: float,
                    phase_fix: complex = 1.0) -> DecodedResult:
-    """Crop, phase-correct and rescale a measured payload block."""
-    window = block[tuple(slice(0, c) for c in crop)] / phase_fix
-    keep = float(np.sum(np.abs(window) ** 2))
-    residual = float(max(0.0, 1.0 - keep)) + _off_sector(block)
-    return _scaled(window / np.sqrt(keep), known_scale, residual)
+    """Crop, phase-correct and rescale a measured payload block (a ``phase_fix``
+    of 1.0 still divides, which turns ``-0.0+1j`` into ``0.0+1j``)."""
+    return _finish(block[tuple(slice(0, c) for c in crop)] / phase_fix, known_scale,
+                   _off_sector(block))
 
 
 def _decoded_rows(block: np.ndarray, rows: int, known_scale: float) -> DecodedResult:
-    """First ``rows`` entries of a measured vector, scaled; all-zero tolerated."""
+    """First ``rows`` entries of a measured vector (never all zero), scaled at
+    ``np.linalg.norm``'s bits, which differ from ``_finish``'s pairwise sum."""
     window = block[:rows]
-    nrm = float(np.linalg.norm(window))
-    direction = window / nrm if nrm else np.zeros_like(window)
     residual = float(max(0.0, 1.0 - np.sum(np.abs(window) ** 2))) + _off_sector(block)
-    return _scaled(direction, known_scale, residual)
+    return _scaled(window / float(np.linalg.norm(window)), known_scale, residual)
 
 
 def _phase(block: np.ndarray) -> complex:
@@ -270,11 +265,6 @@ def _row_sums_at_column_zero(encoded: EncodedMatrix) -> PureState:
 def _label_column_zero(summed: PureState) -> PureState:
     """The label appended and flipped to |1> where C is all zeros."""
     return controlled_on_zero_flip(add_ancilla(summed, LABEL), "C", (LABEL, 0))
-
-
-def _row_sum_labeled(encoded: EncodedMatrix) -> PureState:
-    """State after Hadamards on C and the garbage-labeling flip."""
-    return _label_column_zero(_row_sums_at_column_zero(encoded))
 
 
 def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -618,7 +608,7 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
         sums = linalg.row_sums(amp_matrix)
         analytic_p = float(np.sum(np.abs(sums) ** 2) / (1 << n_r))
 
-        pre = cnot(add_ancilla(_row_sum_labeled(encoded), FLAG), (LABEL, 0), (FLAG, 0))
+        pre = _flagged(_label_column_zero(_row_sums_at_column_zero(encoded)))
         p1 = branch_probability(pre, (FLAG, 0), 1)
         hits = int(np.count_nonzero(draws < p1))
         controlled = controlled_measure(pre, (LABEL, 0), (FLAG, 0))

@@ -10,14 +10,18 @@ the Hadamard ran once per qubit before it kept its operand transposed
 between qubits.  ``decode_rcm_reference`` is ``decode_rcm``'s arithmetic as
 it ran before it decoded in place, and ``encode_rcm_reference`` is
 ``encode_rcm``'s as it ran with one strided divide per part.
+``decoded_block_reference`` is the end stages' payload decode as it ran
+out of place in ``pipelines``, before ``encode`` finished every decoded result.
 """
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from qlasim import PureState
 from qlasim.encode import _checked, _norm_scaling, _reg_width
+from qlasim.linalg import PreparationError
 
 
 def extract_payload(state: PureState, payload: Sequence[str]) -> tuple[np.ndarray, float]:
@@ -71,3 +75,18 @@ def encode_rcm_reference(matrix) -> np.ndarray:
     np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
     np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
     return padded.reshape(-1)
+
+
+def decoded_block_reference(block: np.ndarray, crop: tuple[int, ...], known_scale: float,
+                            phase_fix: complex = 1.0) -> tuple[np.ndarray, float, float]:
+    """``(matrix, residual, known_scale)`` of a measured payload block, cropped,
+    divided by ``phase_fix`` and rescaled; :class:`PreparationError` where
+    float64 cannot hold ``known_scale``."""
+    window = block[tuple(slice(0, c) for c in crop)] / phase_fix
+    keep = float(np.sum(np.abs(window) ** 2))
+    off_sector = float(max(0.0, 1.0 - np.cumsum(np.abs(block.reshape(-1)) ** 2)[-1]))
+    residual = float(max(0.0, 1.0 - keep)) + off_sector
+    direction = window / np.sqrt(keep)
+    if not 0.0 < known_scale < math.inf:
+        raise PreparationError("the result's norm is outside float64's range")
+    return direction * known_scale, residual, known_scale

@@ -37,7 +37,8 @@ from qlasim import (
 from qlasim import pipelines
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
-from qlasim.pipelines import FLAG, LABEL, PreparationError, _row_sum_labeled, _scale_divisor
+from qlasim.pipelines import (FLAG, LABEL, PreparationError, _label_column_zero,
+                              _row_sums_at_column_zero, _scale_divisor)
 from qlasim.states import add_ancilla
 
 from _reference import extract_payload
@@ -698,7 +699,8 @@ def test_bench_hits_equal_per_trial_measurement():
     rng = np.random.default_rng(49)
     for encoded, seed in ((encode_rc(_rand(rng, 4, 4)), 5),
                           (encode_rc(_single_column(2)), 2**64 - 1)):
-        pre = cnot(add_ancilla(_row_sum_labeled(encoded), FLAG), (LABEL, 0), (FLAG, 0))
+        pre = cnot(add_ancilla(_label_column_zero(_row_sums_at_column_zero(encoded)), FLAG),
+                   (LABEL, 0), (FLAG, 0))
         hits = sum(measure_sampled(pre, (FLAG, 0), stream(seed, t)).outcome == 1
                    for t in range(300))
         row = naive_success_bench(encoded, trials=300, master_seed=seed)[0]
@@ -1033,6 +1035,20 @@ def test_prepare_labeled_state_draws_garbage_on_first_read():
     rng.random()
     assert not np.array_equal(moved.state.amplitudes, eager.amplitudes)
     assert moved.state.amplitudes[layout.index_of({"v": 2, LABEL: 1})] == 0.6
+
+
+def test_prepare_labeled_state_over_the_label_alone():
+    # With no register besides the label, indices_of gets no array and
+    # returns a 0-d index; positions still holds one entry per key.
+    layout = RegisterLayout([(LABEL, 1)])
+    labeled = prepare_labeled_state({(): 0.6}, layout, LABEL, 0.64, stream(0))
+    assert labeled.positions.shape == (1,)
+    amps = labeled.state.amplitudes
+    assert amps[1] == 0.6
+    assert abs(amps[0]) == pytest.approx(0.8, abs=1e-15)
+    empty = prepare_labeled_state({}, layout, LABEL, 1.0, stream(0))
+    assert empty.positions.shape == (0,)
+    assert empty.state.amplitudes[1] == 0.0
 
 
 def test_prepare_labeled_state_rejects_bad_keys():

@@ -1,7 +1,9 @@
 """Property-based checks of the state kernels, the encodings, ``row_sum``, Hermitian
-conjugation, the end stages under rescaling and the CLI's matrix I/O."""
+conjugation, the end stages' decode and their answers under rescaling, and the
+CLI's matrix I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,9 +39,10 @@ from qlasim import (
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.encode import _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _flip_where
-from qlasim.pipelines import FLAG, LABEL, _closed_form_stage
+from qlasim.pipelines import FLAG, LABEL, _closed_form_stage, _decoded_block
 
-from _reference import _apply_1q, decode_rcm_reference, encode_rcm_reference, extract_payload
+from _reference import (_apply_1q, decode_rcm_reference, decoded_block_reference,
+                        encode_rcm_reference, extract_payload)
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -328,6 +331,49 @@ def test_decode_rcm_has_the_bytes_of_the_out_of_place_decode(case):
     got = decode_rcm(state, rows, cols, scale)
     window = state.amplitudes.reshape(1 << state.layout.width("R"), -1, 2)[:rows, :cols]
     matrix, residual = decode_rcm_reference(window, scale)
+    assert got.matrix.tobytes() == matrix.tobytes()
+    assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
+    assert got.known_scale == scale
+
+
+@st.composite
+def payload_blocks(draw):
+    """``(block, crop, known_scale, phase_fix)``: a unit-norm complex block of up
+    to 8x8 holding exact and signed zeros, a crop inside it with some mass, a
+    known scale log-uniform in [1e-300, 1e300] or one float64 cannot hold, and
+    a ``phase_fix`` of 1.0 or a random unit complex."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    crop = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, rows, cols))
+    parts[rng.random(parts.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    parts = np.copysign(parts, rng.standard_normal(parts.shape))
+    assume(np.any(parts[:, :crop[0], :crop[1]]))
+    block = np.empty((rows, cols), dtype=np.complex128)
+    block.real, block.imag = parts / np.sqrt(np.sum(parts**2))
+    known_scale = draw(st.floats(-300, 300).map(lambda e: 10.0**e)
+                       | st.sampled_from([0.0, math.inf]))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    phase_fix = draw(st.sampled_from([1.0, complex(math.cos(angle), math.sin(angle))]))
+    return block, crop, known_scale, phase_fix
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload_blocks())
+def test_decoded_block_has_the_bytes_of_the_out_of_place_decode(case):
+    block, crop, known_scale, phase_fix = case
+    try:
+        want = decoded_block_reference(block.copy(), crop, known_scale, phase_fix)
+    except Exception as exc:  # the decode must raise what the reference raises
+        want = exc
+    try:
+        got = _decoded_block(block.copy(), crop, known_scale, phase_fix)
+    except Exception as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        return
+    matrix, residual, scale = want
     assert got.matrix.tobytes() == matrix.tobytes()
     assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
     assert got.known_scale == scale
