@@ -78,7 +78,8 @@ def read_matrix(path: str) -> np.ndarray:
     """Load a complex matrix from a JSON matrix file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            text = fh.read()
+        raw = json.loads(text)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -95,17 +96,19 @@ def read_matrix(path: str) -> np.ndarray:
         raise CliInputError(
             f"{path}: data must hold rows*cols = {rows * cols} entries, got {len(data)}"
         )
+    # np.array reads true and false as 1 and 0, so a text that may hold
+    # booleans goes entry by entry, where they are refused.
     try:
-        pairs = np.array(data)
+        pairs = np.empty(0) if "true" in text or "false" in text else np.array(data)
     except ValueError:  # ragged or too deeply nested
         pairs = np.empty(0)
-    if pairs.shape == (rows * cols, 2) and pairs.dtype.kind in "biuf":
+    if pairs.shape == (rows * cols, 2) and pairs.dtype.kind in "iuf":
         out = pairs.astype(np.float64).view(np.complex128)  # the same casts as complex()
-    else:  # strings, null, nesting, integers past uint64: name the first bad entry
+    else:  # strings, null, booleans, nesting, integers past uint64: name the first bad entry
         out = np.empty(rows * cols, dtype=np.complex128)
         for i, pair in enumerate(data):
             if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) for v in pair)):
+                    and all(type(v) in (int, float) for v in pair)):
                 raise CliInputError(f"{path}: entry {i} is not an [re, im] pair")
             try:
                 out[i] = complex(pair[0], pair[1])

@@ -5,10 +5,10 @@ permutation; the Toffoli-ladder decomposition behind
 :func:`mcx_decomposition_count` is never executed, it only prices that flip in
 elementary gates (serial depth model: every gate costs one layer).
 
-The Hadamard on a register runs one BLAS product and one transposed copy per
-qubit, on one cache-sized block of the buffer at a time: a block is a run of
-values of the qubits before the register, and each block takes every qubit's
-product before the next block starts.
+The Hadamard on a register runs one stacked BLAS product per qubit and one
+transposed copy per group of qubits, on one cache-sized block of the buffer
+at a time: a block is a run of values of the qubits before the register, and
+each block takes every qubit's product before the next block starts.
 """
 
 from __future__ import annotations
@@ -27,43 +27,58 @@ PAULI = {
 }
 # Amplitude bytes per block of hadamard_register: a power of two, so blocks
 # tile the buffer, and sized so a block and its two temporaries stay in a
-# core's L2 cache.  At least 256 bytes (8 columns per operand): BLAS kernels
-# may round narrower products differently from the same columns of a wide one.
+# core's L2 cache.  At least 256 bytes, so that a block's first product has
+# 8 columns: BLAS kernels may round narrower products differently from the
+# same columns of a wide one.
 _BLOCK_BYTES = 1 << 18
+# Most qubits that hadamard_register takes between two transposed copies;
+# 3 to 5 run alike, and 5 takes a 9-qubit register in two groups.
+_GROUP = 5
 
 
 def hadamard_register(state: PureState, register_name: str) -> PureState:
     """Hadamard on every qubit of a register: per block of leading-qubit
-    values, one BLAS product and one transposed copy per qubit.
+    values, one stacked BLAS product per qubit and one transposed copy per
+    group of qubits.
 
-    Each product is ``np.dot(_H, bt)`` on the ``(2, M)`` operand that
-    ``np.tensordot`` builds for that qubit alone (target leading, the other
-    qubits in natural order); the pinned outputs rest on that kernel's
-    rounding, so the operands must not change.  The copy between qubits p
-    and p+1 moves p back in place and p+1 to the front, and the copy after
-    the last qubit writes the block's part of the output.
+    A block is a run of about :data:`_BLOCK_BYTES` of values ``L`` of the
+    qubits before the register, so it stays in cache across its passes; a
+    register with no qubit before it is one block.  One copy moves ``L``
+    behind the other axes, ``(L, q1..qc, T)`` -> ``(q1..qc, T, L)``.  Each
+    qubit is then one ``np.matmul(_H, x)`` on a stack ``x`` of shape
+    ``(2^j, 2, K)`` whose batch axis holds the ``j`` qubits already done in
+    the group, so the next operand is a free reshape of the last product.
+    One copy moves each finished group behind the columns, and one writes
+    the block in natural order after the last group.
 
-    The qubits before the register lead every operand's column index, so a
-    run of their values is a run of columns in every operand, and an output
-    column of the product depends on its own input column only.  The chain
-    therefore runs one run of about :data:`_BLOCK_BYTES` at a time, which
-    stays in cache between its passes, with the bytes of the whole-buffer
-    chain.  A register with no qubits before it is one block.
+    The pinned outputs rest on the kernel's rounding of ``_H @ column`` for
+    each column.  A stacked product gives each slab the bytes of
+    ``np.dot(_H, slab)``, and each column's product is independent of its
+    order in an operand of at least 8 columns; so a group ends before a slab
+    would fall under 8 columns, and the bytes are those of one qubit at a
+    time on the whole buffer.  The transposed orientation
+    ``np.dot(x.T, _H.T)`` changes the bytes on the SkylakeX kernel.
     """
     positions = state.layout.axes(register_name)
-    first, last = positions[0], positions[-1]
+    first, width = positions[0], len(positions)
     amps = state.amplitudes
     span = amps.size >> first  # amplitudes per value of the leading qubits
     lead = min(1 << first, max(1, _BLOCK_BYTES // (span * amps.itemsize)))
+    size = lead * span
+    cap = max(1, min(_GROUP, size.bit_length() - 4))  # slabs of at least 8 columns
+    group = -(-width // -(-width // cap))  # the fewest groups, of even sizes
     result = np.empty_like(amps)
-    for block, dst in zip(amps.reshape(-1, lead * span), result.reshape(-1, lead * span)):
-        bt = block.reshape(lead, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        for position in positions[:-1]:
-            out = np.dot(_H, bt)
-            before = lead << (position - first)  # values of the qubits before position
-            bt = out.reshape(2, before, 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
-        before = lead << (last - first)
-        dst.reshape(before, 2, -1)[...] = np.dot(_H, bt).reshape(2, before, -1).transpose(1, 0, 2)
+    for block, dst in zip(amps.reshape(-1, size), result.reshape(-1, size)):
+        x = block.reshape(lead, span).T.copy()
+        for start in range(0, width, group):
+            if start:
+                x = x.reshape(1 << group, -1).T.copy()
+            todo = min(group, width - start)
+            for j in range(todo):
+                x = np.matmul(_H, x.reshape(1 << j, 2, -1))
+        # x is (the last group's qubits, T, L, the qubits of earlier groups).
+        x = x.reshape(1 << todo, -1, lead, 1 << start)
+        dst.reshape(lead, 1 << start, 1 << todo, -1)[...] = x.transpose(2, 3, 0, 1)
     return PureState(state.layout, result, _adopt=True)
 
 

@@ -69,6 +69,32 @@ def test_boolean_rows_or_cols_exits_2(tmp_path, capsys, shape):
     assert "rows and cols must be positive integers" in out
 
 
+@pytest.mark.parametrize("data, bad", [
+    ("[[true,false],[false,true]]", 0),
+    ("[[true,false],[1,0]]", 0),
+    ("[[1,0],[0.5,true]]", 1),
+    ("[[1,0],[false,2.5]]", 1),
+], ids=["all-bool", "bool-then-number", "number-then-bool", "bool-in-float-pair"])
+@pytest.mark.parametrize("command", ["rowsum", "hconj"])
+def test_boolean_entries_exit_2(tmp_path, capsys, data, bad, command):
+    # np.array would read true and false as 1 and 0, alone or mixed with numbers.
+    path = tmp_path / "bool.json"
+    path.write_text('{"rows":1,"cols":2,"data":%s}' % data)
+    code, out = _run(capsys, [command, str(path)])
+    assert code == 2
+    assert f"entry {bad} is not an [re, im] pair" in out
+
+
+def test_true_outside_data_reads_the_same_numbers(tmp_path):
+    # "true" anywhere in the text sends the file entry by entry, with the
+    # casts of the array path: integers past 2^53, -0.0 and subnormals too.
+    data = "[[1,2],[0.1,-3],[%d,-0.0],[5e-324,%d]]" % (2**60 + 1, 2**64 - 1)
+    plain, noted = tmp_path / "plain.json", tmp_path / "noted.json"
+    plain.write_text('{"rows":2,"cols":2,"data":%s}' % data)
+    noted.write_text('{"note":"true, not false","rows":2,"cols":2,"data":%s}' % data)
+    assert read_matrix(str(noted)).tobytes() == read_matrix(str(plain)).tobytes()
+
+
 @pytest.mark.parametrize("data", ["null", "5", '"ab"'])
 def test_data_that_is_not_a_list_exits_2(tmp_path, capsys, data):
     path = tmp_path / "data.json"

@@ -97,22 +97,34 @@ def test_public_gates_match_reference_kernel():
         assert np.array_equal(got, _apply_1q_reference(state.amplitudes, 8, 7, PAULI[gate]))
 
 
-@st.composite
-def three_register_states(draw):
-    """States over three registers of 1-4 qubits each, holding exact and
-    signed zeros in both parts."""
-    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def _draw_state(draw, widths):
+    """A state over registers A, B, C of ``widths``, holding exact and signed
+    zeros in both parts."""
     layout = RegisterLayout(list(zip("ABC", widths)))
-    n = layout.total_qubits
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    parts = rng.standard_normal((2, 1 << n))
+    parts = rng.standard_normal((2, layout.dim))
     parts[rng.random(parts.shape) < draw(st.floats(0.0, 0.9))] = 0.0
     parts = np.copysign(parts, rng.standard_normal(parts.shape))
     if not np.any(parts):
         parts[0, -1] = -1.0
-    amps = np.empty(1 << n, dtype=np.complex128)
+    amps = np.empty(layout.dim, dtype=np.complex128)
     amps.real, amps.imag = parts / np.sqrt(np.sum(parts**2))
     return PureState(layout, amps)
+
+
+@st.composite
+def three_register_states(draw):
+    """States over three registers of 1-4 qubits each."""
+    return _draw_state(draw, draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+
+
+@st.composite
+def wide_register_states(draw):
+    """States with one register of 5-9 qubits before, between or after two
+    registers of 1-2 qubits."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    widths.insert(draw(st.integers(0, 2)), draw(st.integers(5, 9)))
+    return _draw_state(draw, widths)
 
 
 def _assert_hadamard_bytes_of_one_qubit_at_a_time(state):
@@ -138,6 +150,18 @@ def test_hadamard_register_keeps_the_bytes_across_small_blocks(state):
     # need not match the same columns of a wide one: on the SkylakeX kernel
     # one column differs in value, and 2, 3, 5, 6 or 7 in the sign of a zero.
     with mock.patch.object(gates, "_BLOCK_BYTES", 256):
+        _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_register_states(), st.sampled_from([256, 512, 1024]))
+def test_hadamard_register_keeps_the_bytes_across_groups_of_qubits(state, block_bytes):
+    # Blocks of 16, 32 or 64 amplitudes take groups of 1, 2 or 3 qubits
+    # before a slab would fall under 8 columns, so a register of 5-9 qubits
+    # runs in several groups, each ended by a transposed copy.  A register
+    # with more amplitudes per leading value takes larger blocks and groups
+    # of up to _GROUP qubits.
+    with mock.patch.object(gates, "_BLOCK_BYTES", block_bytes):
         _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
 
 

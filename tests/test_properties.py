@@ -496,7 +496,8 @@ def test_closed_form_stage_places_coeffs_in_c_order(layout, data, seed):
 
 def _reference_read_matrix(path):
     """The per-entry reader ``read_matrix`` replaced, with its exit-code fixes:
-    boolean rows/cols, non-list data and integers past float64 are malformed."""
+    boolean rows/cols, non-list data, integers past float64 and boolean
+    entries are malformed."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not {"rows", "cols", "data"} <= set(raw):
@@ -514,7 +515,8 @@ def _reference_read_matrix(path):
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in pair)):
             raise CliInputError(f"{path}: entry {i} is not an [re, im] pair")
         try:
             out[i] = complex(pair[0], pair[1])
