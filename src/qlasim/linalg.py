@@ -40,6 +40,13 @@ def _pivot_floor(a: np.ndarray) -> float:
     return PIVOT_TOL * float(np.max(np.abs(a), initial=0.0))
 
 
+def _swap_rows(a: np.ndarray, k: int, p: int) -> None:
+    """Exchange rows ``k`` and ``p`` of ``a`` in place, by slice copies."""
+    row = a[k].copy()
+    a[k] = a[p]
+    a[p] = row
+
+
 def det_lu(matrix) -> complex:
     """Determinant via LU with partial pivoting; 0 for (near-)singular input.
 
@@ -57,7 +64,7 @@ def det_lu(matrix) -> complex:
             if abs(a[p, k]) <= floor:
                 return 0j
             if p != k:
-                a[[k, p]] = a[[p, k]]
+                _swap_rows(a, k, p)
                 det = -det
             det *= a[k, k]
             a[k + 1:, k] /= a[k, k]
@@ -85,7 +92,7 @@ def inverse_gj(matrix) -> OracleReport:
             raise SingularMatrixError(
                 f"pivot {abs(aug[p, k]):.3e} at most {PIVOT_TOL} * max|a_ij| = {floor:.3e}")
         if p != k:
-            aug[[k, p]] = aug[[p, k]]
+            _swap_rows(aug, k, p)
         aug[k] /= aug[k, k]
         factors = aug[:, k].copy()
         factors[k] = 0.0

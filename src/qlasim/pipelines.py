@@ -9,14 +9,16 @@ renormalized however small its weight, or leaves the state untouched when no
 labeled component exists.  The final stage gets that result bit for bit from
 the labeled amplitudes alone (:func:`~qlasim.measure.extract_labeled_branch`)
 and builds ``final_state`` when read, as it does the whole state where no
-labeled branch exists; only a failed sampled draw runs the circuit densely.
+labeled branch exists; only a failed sampled draw builds the dense state at
+once.  A dense build places the flag instead of running the CNOT: on a fresh
+|0> ancilla the CNOT only moves each amplitude to flag = label.
 
 ``row_sum`` builds its labeled state from gates (Hadamards plus an
-all-zero-controlled flip); rows that cancel leave rounding noise there, not
-zeros, so its branch counts as empty up to ``EMPTY_BRANCH_TOL``.  The
-matrix-algebra end stages initialize their labeled branch from closed-form
-coefficients, standing in for the upstream preparation circuits, and build
-the garbage only when a result reads it.
+all-zero-controlled flip, placed the same way); rows that cancel leave
+rounding noise there, not zeros, so its branch counts as empty up to
+``EMPTY_BRANCH_TOL``.  The matrix-algebra end stages initialize their
+labeled branch from closed-form coefficients, standing in for the upstream
+preparation circuits, and build the garbage only when a result reads it.
 
 Results come back up to normalization: the decoded entries have a fixed
 direction, and the lost magnitude is recovered from the measured branch
@@ -36,16 +38,15 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rng
 from .encode import (DecodedResult, EncodedMatrix, _checked, _finish, _norm_scaling, _reg_width,
                      _scaled)
-from .gates import (_swapped_copy, cnot, controlled_on_zero_flip, hadamard_register,
-                    mcx_decomposition_count)
+from .gates import _swapped_copy, hadamard_register, mcx_decomposition_count
 from .linalg import PreparationError
 from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
                       controlled_measure, extract_labeled_branch, measure_sampled)
 from .rng import first_draws, stream
-from .states import NORM_TOL, PureState, RegisterLayout, add_ancilla
+from .states import NORM_TOL, PureState, RegisterLayout
 
 LABEL = "label"
 FLAG = "flag"
@@ -109,8 +110,16 @@ class _NotMeasured:
 
 
 def _flagged(state: PureState) -> PureState:
-    """``state`` with the flag appended and the label copied onto it."""
-    return cnot(add_ancilla(state, FLAG), (LABEL, 0), (FLAG, 0))
+    """``state`` with the flag appended and the label copied onto it.
+
+    The flag starts in |0>, so the CNOT is a placement: each amplitude goes
+    to flag = label, and the other flag value stays zero.
+    """
+    a = state.amplitudes.reshape(1 << state.layout.qubit_position((LABEL, 0)), 2, -1)
+    amps = np.zeros(a.shape + (2,), dtype=np.complex128)
+    amps[:, 0, :, 0] = a[:, 0]
+    amps[:, 1, :, 1] = a[:, 1]
+    return PureState(state.layout.extended(FLAG), amps, _adopt=True)
 
 
 @dataclass(frozen=True)
@@ -263,8 +272,18 @@ def _row_sums_at_column_zero(encoded: EncodedMatrix) -> PureState:
 
 
 def _label_column_zero(summed: PureState) -> PureState:
-    """The label appended and flipped to |1> where C is all zeros."""
-    return controlled_on_zero_flip(add_ancilla(summed, LABEL), "C", (LABEL, 0))
+    """The label appended and flipped to |1> where C is all zeros.
+
+    The label starts in |0>, so the flip is a placement: each amplitude goes
+    to label = 1 where C = 0 and to label = 0 elsewhere, and the other label
+    value stays zero.
+    """
+    c = summed.layout.axes("C")
+    a = summed.amplitudes.reshape(1 << c.start, 1 << len(c), -1)
+    amps = np.zeros(a.shape + (2,), dtype=np.complex128)
+    amps[:, 0, :, 1] = a[:, 0]
+    amps[:, 1:, :, 0] = a[:, 1:]
+    return PureState(summed.layout.extended(LABEL), amps, _adopt=True)
 
 
 def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
@@ -275,7 +294,7 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     final stage extracts it.  The decoded vector is proportional to the row
     sums; the branch weight equals (sum_i |row_sum_i|^2) / 2^(width of C) at
     amplitude level, and the normalization constant is recovered from it.
-    A success reads the Hadamards' C=0 column; the label and flip run only on a full build.
+    A success reads the Hadamards' C=0 column; the label is placed only on a full build.
     """
     n_sum = encoded.state.layout.width("C")
     depth = n_sum + mcx_decomposition_count(n_sum).depth + 1
@@ -588,19 +607,18 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
 
     The flag probability ``p1`` is computed once per input, exactly as
     :func:`measure_sampled` computes it, and trial ``t`` hits when its uniform
-    is below ``p1``.  The uniforms come from one :func:`first_draws` call,
-    shared by all inputs and equal bit for bit to
-    ``stream(master_seed, t).random()``, so every ``empirical_p`` is the one
-    a per-trial ``measure_sampled`` loop gives, without building a
-    post-state per trial.
+    is below ``p1``.  The uniforms come from :func:`first_draws`,
+    :data:`~qlasim.rng._DRAW_CHUNK` trials at a time, shared by all inputs and
+    equal bit for bit to ``stream(master_seed, t).random()``, so every
+    ``empirical_p`` is the one a per-trial ``measure_sampled`` loop gives,
+    without building a post-state per trial or an array per trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if isinstance(encoded_inputs, EncodedMatrix):
         encoded_inputs = [encoded_inputs]
 
-    draws = first_draws(master_seed, np.arange(trials, dtype=np.uint64))
-    out: list[BenchRow] = []
+    inputs = []  # (n_r, analytic_p, p1, controlled_success_rate) per input
     for encoded in encoded_inputs:
         n_r = encoded.state.layout.width("C")
         wr = encoded.state.layout.width("R")
@@ -610,12 +628,14 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
 
         pre = _flagged(_label_column_zero(_row_sums_at_column_zero(encoded)))
         p1 = branch_probability(pre, (FLAG, 0), 1)
-        hits = int(np.count_nonzero(draws < p1))
         controlled = controlled_measure(pre, (LABEL, 0), (FLAG, 0))
-        out.append(BenchRow(
-            n_r=n_r,
-            analytic_p=analytic_p,
-            empirical_p=hits / trials,
-            controlled_success_rate=1.0 if controlled.outcome == 1 else 0.0,
-        ))
-    return out
+        inputs.append((n_r, analytic_p, p1, 1.0 if controlled.outcome == 1 else 0.0))
+
+    hits = [0] * len(inputs)
+    for start in range(0, trials, rng._DRAW_CHUNK):
+        stop = min(start + rng._DRAW_CHUNK, trials)
+        draws = first_draws(master_seed, np.arange(start, stop, dtype=np.uint64))
+        for i, (_, _, p1, _) in enumerate(inputs):
+            hits[i] += int(np.count_nonzero(draws < p1))
+    return [BenchRow(n_r, analytic_p, h / trials, rate)
+            for (n_r, analytic_p, _, rate), h in zip(inputs, hits)]

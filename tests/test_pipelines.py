@@ -35,6 +35,7 @@ from qlasim import (
     swap_registers,
 )
 from qlasim import pipelines
+from qlasim import rng as qlasim_rng
 from qlasim.linalg import SingularMatrixError
 from qlasim.measure import measure_sampled
 from qlasim.pipelines import (FLAG, LABEL, PreparationError, _label_column_zero,
@@ -113,21 +114,21 @@ def test_row_sum_gate_depth_is_linear_in_summed_width():
 
 @pytest.fixture
 def labeling_calls(monkeypatch):
-    """The register each ``pipelines.add_ancilla`` call appends, and the number
-    of ``pipelines.controlled_on_zero_flip`` calls."""
-    calls = {"ancillas": [], "flips": 0}
-    add, flip = pipelines.add_ancilla, pipelines.controlled_on_zero_flip
+    """The number of labeled states (``_label_column_zero``) and of flagged
+    states (``_flagged``) that ``pipelines`` builds."""
+    calls = {"labels": 0, "flags": 0}
+    label, flag = pipelines._label_column_zero, pipelines._flagged
 
-    def counted_add(state, name, *args):
-        calls["ancillas"].append(name)
-        return add(state, name, *args)
+    def counted_label(*args):
+        calls["labels"] += 1
+        return label(*args)
 
-    def counted_flip(*args):
-        calls["flips"] += 1
-        return flip(*args)
+    def counted_flag(*args):
+        calls["flags"] += 1
+        return flag(*args)
 
-    monkeypatch.setattr(pipelines, "add_ancilla", counted_add)
-    monkeypatch.setattr(pipelines, "controlled_on_zero_flip", counted_flip)
+    monkeypatch.setattr(pipelines, "_label_column_zero", counted_label)
+    monkeypatch.setattr(pipelines, "_flagged", counted_flag)
     return calls
 
 
@@ -136,18 +137,18 @@ def test_successful_row_sum_builds_no_labeled_state(labeling_calls):
     report = row_sum(encode_rc(_rand(np.random.default_rng(37), 4, 8)))
     assert report.outcome == 1
     report.final_state
-    assert labeling_calls == {"ancillas": [], "flips": 0}
+    assert labeling_calls == {"labels": 0, "flags": 0}
 
 
 def test_not_measured_row_sum_builds_the_labeled_state_on_read(labeling_calls):
     s = 1 / np.sqrt(2)
     report = row_sum(encode_rc([[s, -s], [0.0, 0.0]]))
     assert report.outcome is None
-    assert labeling_calls == {"ancillas": [], "flips": 0}
+    assert labeling_calls == {"labels": 0, "flags": 0}
     report.final_state
     report.final_state
-    # The label and its flip once; the flag is the final stage's own.
-    assert labeling_calls == {"ancillas": [LABEL, FLAG], "flips": 1}
+    # The labeled state and its flag once, on the first read.
+    assert labeling_calls == {"labels": 1, "flags": 1}
 
 
 # --- Hermitian conjugation ----------------------------------------------------
@@ -707,6 +708,16 @@ def test_bench_hits_equal_per_trial_measurement():
         assert row.empirical_p == hits / 300
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 299, 300, 1 << 14])
+def test_bench_counts_across_draw_chunks(monkeypatch, chunk):
+    # Trials that cross chunk boundaries count as the unchunked draws did.
+    rng = np.random.default_rng(50)
+    inputs = [encode_rc(_rand(rng, 4, 4)), encode_rc(_single_column(3))]
+    monkeypatch.setattr(qlasim_rng, "_DRAW_CHUNK", chunk)
+    rows = naive_success_bench(inputs, trials=300, master_seed=11)
+    assert [row.empirical_p for row in rows] == [145 / 300, 41 / 300]
+
+
 def test_bench_empirical_p_is_pinned():
     # Acceptance criterion 2's inputs; values drawn by a per-trial measure_sampled loop.
     pinned = [0.4998, 0.2554, 0.1267, 0.0592, 0.0311, 0.0159]
@@ -718,8 +729,8 @@ def test_bench_empirical_p_is_pinned():
 
 
 def test_bench_draws_in_bounded_memory():
-    # Unchunked draws peak near 136 MB here; chunked, the ids and the draws
-    # themselves (16 B per trial) are most of the peak.
+    # Ids and draws for every trial at once would take 16 MB here; drawn one
+    # chunk at a time, the peak is the Philox buffers of one chunk.
     encoded = encode_rc(_single_column(1))
     tracemalloc.start()
     try:
@@ -727,7 +738,7 @@ def test_bench_draws_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 4e6
     assert abs(row.empirical_p - 0.5) < 5 * np.sqrt(0.25 / 1_000_000)
 
 

@@ -39,7 +39,8 @@ from qlasim import (
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.encode import _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _flip_where
-from qlasim.pipelines import FLAG, LABEL, _closed_form_stage, _decoded_block
+from qlasim.pipelines import (FLAG, LABEL, _closed_form_stage, _decoded_block, _flagged,
+                              _label_column_zero)
 
 from _reference import (_apply_1q, decode_rcm_reference, decoded_block_reference,
                         encode_rcm_reference, extract_payload)
@@ -154,6 +155,44 @@ def test_decode_inverts_encode_exactly_for_one_real_entry(shape, data, magnitude
     a[i, j] = -magnitude if negative else magnitude
     for encode, decode in ((encode_rc, decode_rc), (encode_rcm, decode_rcm)):
         assert np.array_equal(decode(encode(a)).matrix, a)
+
+
+# --- the label and the flag placed, against add_ancilla and the gates -------
+
+@st.composite
+def states_holding(draw, name, width=None):
+    """A state whose layout holds ``name`` (``width`` qubits, else one to
+    three) at any place among one to three other registers; a share of its
+    real and imaginary parts are zeros of either sign."""
+    regs = [(f"r{i}", w) for i, w in enumerate(draw(st.lists(st.integers(1, 3),
+                                                              min_size=1, max_size=3)))]
+    regs.insert(draw(st.integers(0, len(regs))), (name, width or draw(st.integers(1, 3))))
+    layout = RegisterLayout(regs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((layout.dim, 2))
+    zero = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    parts[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    amps = parts.view(np.complex128).reshape(-1)
+    assume(np.any(amps != 0))
+    return PureState(layout, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(states_holding("C"))
+def test_label_placement_has_the_bytes_of_the_zero_controlled_flip(state):
+    chain = controlled_on_zero_flip(add_ancilla(state, LABEL), "C", (LABEL, 0))
+    placed = _label_column_zero(state)
+    assert placed.layout == chain.layout
+    assert placed.amplitudes.tobytes() == chain.amplitudes.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(states_holding(LABEL, 1))
+def test_flag_placement_has_the_bytes_of_the_cnot(state):
+    chain = cnot(add_ancilla(state, FLAG), (LABEL, 0), (FLAG, 0))
+    placed = _flagged(state)
+    assert placed.layout == chain.layout
+    assert placed.amplitudes.tobytes() == chain.amplitudes.tobytes()
 
 
 # --- row_sum against the dense flag/CNOT/measurement chain --------------------

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlasim import rng, stream
 from qlasim.rng import first_draws
@@ -51,3 +55,15 @@ def test_first_draws_negative_seed_wraps_like_stream():
 
 def test_first_draws_of_no_ids_is_empty():
     assert first_draws(3, np.zeros(0, dtype=np.uint64)).shape == (0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 7), max_size=300),
+       st.integers(1, 64))
+def test_first_draws_equal_per_stream_draws_for_any_ids(seed, ids, chunk):
+    # Unsorted and repeated ids, over chunk boundaries.
+    ids = np.array(ids, dtype=np.uint64)
+    with mock.patch.object(rng, "_DRAW_CHUNK", chunk):
+        draws = first_draws(seed, ids)
+    assert draws.tobytes() == _per_stream(seed, ids).tobytes()
