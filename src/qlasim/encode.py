@@ -27,6 +27,7 @@ from .linalg import PreparationError
 from .states import PureState, RegisterLayout
 
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # 2^-511
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 _REGISTERS = {"RC": ("R", "C"), "RCM": ("R", "C", "M")}  # each scheme's layout, in order
 
 
@@ -122,6 +123,30 @@ def _norm_scaling(a: np.ndarray, norm=np.linalg.norm) -> tuple[np.ndarray, float
     return b, divisor, scale
 
 
+def _divide(z: np.ndarray, divisor: float, out: np.ndarray) -> None:
+    """``np.divide(z, divisor, out=out)`` for complex ``z`` and ``out`` of one
+    shape, each contiguous along its last axis (``out`` may be ``z``), and a
+    float ``divisor > 0`` whose reciprocal is finite: the same bytes from one
+    float multiply over the interleaved (re, im) view.
+
+    numpy divides by ``divisor + 0j`` as ``(re + im*0) * (1/divisor)`` and
+    ``(im - re*0) * (1/divisor)``.  In a part that is not -0 the added zero
+    drops out, or leaves +0 at +0, so the part is ``part * (1/divisor)``.  A
+    -0 part becomes the zero added to it: 0 with the sign of ``im`` in the
+    real part, with the sign of ``-re`` in the imaginary part.
+    """
+    parts = z.view(np.float64).reshape(z.shape + (2,))
+    negative_zero = parts.view(np.uint64) == _NEGATIVE_ZERO
+    fixes = None
+    if negative_zero.any():
+        re, im = negative_zero[..., 0], negative_zero[..., 1]
+        fixes = np.copysign(0.0, parts[..., 1][re]), np.copysign(0.0, -parts[..., 0][im])
+    out_parts = out.view(np.float64).reshape(out.shape + (2,))
+    np.multiply(parts, 1.0 / divisor, out=out_parts)
+    if fixes is not None:
+        out_parts[..., 0][re], out_parts[..., 1][im] = fixes
+
+
 def encode_rc(matrix) -> EncodedMatrix:
     """Encode entries as amplitudes over row/column index registers."""
     a = _checked(matrix)
@@ -131,7 +156,7 @@ def encode_rc(matrix) -> EncodedMatrix:
     if not scale:
         raise ValueError("cannot encode an all-zero matrix")
     padded = np.zeros((1 << wr, 1 << wc), dtype=np.complex128)
-    np.divide(b, divisor, out=padded[:rows, :cols])
+    _divide(np.ascontiguousarray(b), divisor, padded[:rows, :cols])
     layout = RegisterLayout([("R", wr), ("C", wc)])
     return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RC", rows, cols, scale)
 
@@ -189,7 +214,7 @@ def _finish(matrix: np.ndarray, scale, off_sector: float = 0.0) -> DecodedResult
     residual = float(max(0.0, 1.0 - keep)) + off_sector
     if keep <= 0.0:
         raise NonProductSectorError("no amplitude mass inside the decoded window")
-    np.divide(matrix, np.sqrt(keep), out=matrix)
+    _divide(matrix, np.sqrt(keep), matrix)
     return _scaled(matrix, scale, residual)
 
 

@@ -8,7 +8,11 @@ elementary gates (serial depth model: every gate costs one layer).
 The Hadamard on a register runs one stacked BLAS product per qubit and one
 transposed copy per group of qubits, on one cache-sized block of the buffer
 at a time: a block is a run of values of the qubits before the register, and
-each block takes every qubit's product before the next block starts.
+each block takes every qubit's product before the next block starts.  The
+products are real, ``_H.real`` on the interleaved float view of the complex
+operand.  They give the complex product's values; only where the output
+holds a zero whose sign the complex product could set otherwise does a block
+run the complex chain again, so the bytes are the complex chain's.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .states import PureState, QubitSpec, RegisterLayout
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
+_HR = np.ascontiguousarray(_H.real)
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
@@ -45,19 +50,31 @@ def hadamard_register(state: PureState, register_name: str) -> PureState:
     qubits before the register, so it stays in cache across its passes; a
     register with no qubit before it is one block.  One copy moves ``L``
     behind the other axes, ``(L, q1..qc, T)`` -> ``(q1..qc, T, L)``.  Each
-    qubit is then one ``np.matmul(_H, x)`` on a stack ``x`` of shape
+    qubit is then one product with the Hadamard on a stack ``x`` of shape
     ``(2^j, 2, K)`` whose batch axis holds the ``j`` qubits already done in
     the group, so the next operand is a free reshape of the last product.
     One copy moves each finished group behind the columns, and one writes
-    the block in natural order after the last group.
+    the block in natural order after the last group.  A block whose
+    amplitudes are all +0 is written as +0 with no product.
 
     The pinned outputs rest on the kernel's rounding of ``_H @ column`` for
-    each column.  A stacked product gives each slab the bytes of
-    ``np.dot(_H, slab)``, and each column's product is independent of its
-    order in an operand of at least 8 columns; so a group ends before a slab
-    would fall under 8 columns, and the bytes are those of one qubit at a
-    time on the whole buffer.  The transposed orientation
+    each column, in complex arithmetic.  A stacked product gives each slab
+    the bytes of ``np.dot(_H, slab)``, and each column's product is
+    independent of its order in an operand of at least 8 columns; so a group
+    ends before a slab would fall under 8 columns, and the bytes are those
+    of one qubit at a time on the whole buffer.  The transposed orientation
     ``np.dot(x.T, _H.T)`` changes the bytes on the SkylakeX kernel.
+
+    The products run real, ``_H.real`` on the interleaved float view of the
+    stack, which skips the multiplies by ``_H``'s zero imaginary part.  The
+    real and the complex product agree on every value; they can differ only
+    in the sign of a zero, where an FMA residual underflows: the real chain
+    gives -0 where ``zgemm``, adding its zero imaginary terms, gives +0.  So
+    a block whose real output holds no zero has the complex bytes.  A zero
+    whose inputs, the same part (real or imaginary) of the amplitudes that
+    share its values of the qubits outside the register, are all +0 is +0
+    in both chains, as in padding or in a real-valued state; any other zero
+    sends the block through the complex chain again.
     """
     positions = state.layout.axes(register_name)
     first, width = positions[0], len(positions)
@@ -69,17 +86,47 @@ def hadamard_register(state: PureState, register_name: str) -> PureState:
     group = -(-width // -(-width // cap))  # the fewest groups, of even sizes
     result = np.empty_like(amps)
     for block, dst in zip(amps.reshape(-1, size), result.reshape(-1, size)):
-        x = block.reshape(lead, span).T.copy()
-        for start in range(0, width, group):
-            if start:
-                x = x.reshape(1 << group, -1).T.copy()
-            todo = min(group, width - start)
-            for j in range(todo):
-                x = np.matmul(_H, x.reshape(1 << j, 2, -1))
-        # x is (the last group's qubits, T, L, the qubits of earlier groups).
-        x = x.reshape(1 << todo, -1, lead, 1 << start)
-        dst.reshape(lead, 1 << start, 1 << todo, -1)[...] = x.transpose(2, 3, 0, 1)
+        bits = block.view(np.uint64)  # (re, im) bit patterns: 0 is +0
+        if not (bits[0] or bits.any()):  # bits[0] spares most blocks the pass
+            dst[...] = 0
+            continue
+        _products(block, dst, lead, width, group, _HR)
+        if not _zeros_settled(bits, dst.view(np.float64), lead, width):
+            _products(block, dst, lead, width, group, _H)
     return PureState(state.layout, result, _adopt=True)
+
+
+def _products(block: np.ndarray, dst: np.ndarray, lead: int, width: int, group: int,
+              h: np.ndarray) -> None:
+    """Write the Hadamard on ``width`` qubits of ``block`` (``lead`` leading
+    values) into ``dst``, in groups of ``group`` qubits: ``h`` is ``_H`` for
+    the complex chain, ``_HR`` for the real one on the float view."""
+    x = block.reshape(lead, -1).T.copy()
+    for start in range(0, width, group):
+        if start:
+            x = x.reshape(1 << group, -1).T.copy()
+        todo = min(group, width - start)
+        for j in range(todo):
+            x = np.matmul(h, x.view(h.dtype).reshape(1 << j, 2, -1)).view(np.complex128)
+    # x is (the last group's qubits, T, L, the qubits of earlier groups).
+    x = x.reshape(1 << todo, -1, lead, 1 << start)
+    dst.reshape(lead, 1 << start, 1 << todo, -1)[...] = x.transpose(2, 3, 0, 1)
+
+
+def _zeros_settled(bits: np.ndarray, out: np.ndarray, lead: int, width: int) -> bool:
+    """Whether every zero of ``out``, the real chain's float output for a
+    block whose input has the bit patterns ``bits``, is one that both chains
+    give as +0.  An output mixes one part (real or imaginary) of the
+    ``2^width`` amplitudes that share its values of the qubits outside the
+    register; where those inputs are all +0 it is +0.  Each such set gives
+    ``2^width`` zeros, so every zero is one of them when that is the count."""
+    if out.all():
+        return True
+    live = bits.reshape(lead, 1 << width, -1)  # (L, the register, T and the part)
+    while live.shape[1] > 1:  # OR over the register's values
+        half = live.shape[1] >> 1
+        live = live[:, :half] | live[:, half:]
+    return out.size - np.count_nonzero(out) == (live.size - np.count_nonzero(live)) << width
 
 
 def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:

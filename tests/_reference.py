@@ -8,8 +8,10 @@ final stages' bits against the dense circuit decode through it unchanged.
 ``_apply_1q`` is the one-qubit gate as one ``np.tensordot`` product, which
 the Hadamard ran once per qubit before it kept its operand transposed
 between qubits.  ``decode_rcm_reference`` is ``decode_rcm``'s arithmetic as
-it ran before it decoded in place, and ``encode_rcm_reference`` is
-``encode_rcm``'s as it ran with one strided divide per part.
+it ran before it decoded in place, ``encode_rcm_reference`` is
+``encode_rcm``'s as it ran with one strided divide per part, and
+``encode_rc_reference`` is ``encode_rc``'s as it ran with numpy's complex
+division.
 ``decoded_block_reference`` is the end stages' payload decode as it ran
 out of place in ``pipelines``, before ``encode`` finished every decoded result.
 """
@@ -74,6 +76,16 @@ def encode_rcm_reference(matrix) -> np.ndarray:
     padded = np.zeros((1 << _reg_width(rows), 1 << _reg_width(cols), 2), dtype=np.complex128)
     np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
     np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
+    return padded.reshape(-1)
+
+
+def encode_rc_reference(matrix) -> np.ndarray:
+    """``encode_rc``'s amplitudes: the entries divided by the norm as complex numbers."""
+    a = _checked(matrix)
+    rows, cols = a.shape
+    b, divisor, _ = _norm_scaling(a)
+    padded = np.zeros((1 << _reg_width(rows), 1 << _reg_width(cols)), dtype=np.complex128)
+    np.divide(b, divisor, out=padded[:rows, :cols])
     return padded.reshape(-1)
 
 

@@ -181,6 +181,81 @@ def test_hadamard_register_keeps_the_bytes_across_default_blocks():
     _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
 
 
+@st.composite
+def underflow_pair_states(draw, one_part=False, padded=False):
+    """A state over registers A, B, C of 1-4 qubits whose
+    amplitudes but one lie in 1e-312..1e-300, in equal or negated pairs
+    along one qubit of register ``name``, where the real product's FMA
+    residuals underflow to zeros of either sign.  ``one_part``: every real
+    or every imaginary part is +0.  ``padded``: some values of the qubits
+    before ``name`` and of the qubits after it hold only +0, and so does
+    the half of ``name``'s values where one of its qubits holds one bit."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    layout = RegisterLayout(list(zip("ABC", widths)))
+    name = draw(st.sampled_from("ABC"))
+    axes = layout.axes(name)
+    position = axes[draw(st.integers(0, len(axes) - 1))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.choice([-1.0, 1.0], (2, layout.dim)) * 10.0 ** rng.uniform(-312, -300, (2, layout.dim))
+    if one_part:
+        parts[draw(st.integers(0, 1))] = 0.0
+    pairs = parts.reshape(2, 1 << position, 2, -1)
+    pairs[:, :, 1] = pairs[:, :, 0] * rng.choice([-1.0, 1.0], pairs[:, :, 0].shape)
+    if padded:
+        share = draw(st.floats(0.1, 0.9))
+        before = parts.reshape(2, 1 << axes[0], -1)
+        before[:, rng.random(before.shape[1]) < share] = 0.0
+        half = parts.reshape(2, 1 << draw(st.sampled_from(axes)), 2, -1)
+        half[:, :, draw(st.integers(0, 1))] = 0.0
+        after = parts.reshape(2, -1, layout.dim >> (axes[-1] + 1))
+        after[:, :, rng.random(after.shape[2]) < share] = 0.0
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts
+    amps[np.argmax(np.abs(amps))] = 1.0  # the norm
+    return PureState(layout, amps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(underflow_pair_states())
+def test_hadamard_register_keeps_the_zero_signs_of_underflowing_pairs(state):
+    # The real product gives -0 where zgemm gives +0 on the SkylakeX kernel.
+    _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(underflow_pair_states(one_part=True))
+def test_hadamard_register_keeps_the_zero_signs_of_real_and_imaginary_states(state):
+    # With every imaginary part +0 both chains give the same zeros, and the
+    # guard must not fall back; with every real part +0, zgemm adds the +0
+    # terms _H.imag * re to the imaginary parts and the chains differ.
+    _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(underflow_pair_states(padded=True), st.sampled_from([256, 1024]))
+def test_hadamard_register_keeps_the_zero_signs_beside_padding(state, block_bytes):
+    with mock.patch.object(gates, "_BLOCK_BYTES", block_bytes):
+        _assert_hadamard_bytes_of_one_qubit_at_a_time(state)
+
+
+def test_hadamard_register_takes_the_real_chain_on_dense_and_real_states():
+    # A guard that always fell back would keep the bytes and lose the speed.
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
+    padded = rng.standard_normal((200, 300)) + 1j * rng.standard_normal((200, 300))
+    with mock.patch.object(gates, "_products", wraps=gates._products) as products:
+        for state in (encode_rc(a).state, encode_rc(a.real).state, encode_rcm(a.real).state):
+            for name in state.layout.names:
+                hadamard_register(state, name)
+        hadamard_register(encode_rc(padded).state, "R")  # columns 300-511 padding
+        assert all(call.args[-1] is gates._HR for call in products.call_args_list)
+        products.reset_mock()
+        # C after 8 qubits of R: blocks of 32 rows, rows 200-223 padding in the
+        # seventh, and the eighth all +0, which takes no product.
+        hadamard_register(encode_rc(padded).state, "C")
+        assert [call.args[-1] for call in products.call_args_list] == [gates._HR] * 7
+
+
 def test_hadamard_register_allocates_its_output_and_cache_sized_blocks():
     # The whole-buffer chain peaked at 3.0x the state's bytes: it held an
     # operand, its product and the next operand, each as large as the state.

@@ -37,13 +37,13 @@ from qlasim import (
     swap_registers,
 )
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
-from qlasim.encode import _norm_scaling, _reg_width
+from qlasim.encode import _divide, _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _flip_where
 from qlasim.pipelines import (FLAG, LABEL, _closed_form_stage, _decoded_block, _flagged,
                               _label_column_zero)
 
 from _reference import (_apply_1q, decode_rcm_reference, decoded_block_reference,
-                        encode_rcm_reference, extract_payload)
+                        encode_rc_reference, encode_rcm_reference, extract_payload)
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -441,6 +441,44 @@ def scaled_matrices(draw):
 @example(np.array([[complex(1e300, 0.0)], [complex(-1e300, -0.0)]]))
 def test_encode_rcm_has_the_bytes_of_one_divide_per_part(a):
     assert encode_rcm(a).state.amplitudes.tobytes() == encode_rcm_reference(a).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_matrices())
+@example(np.array([[complex(-0.0, 1e-300), complex(1e-300, -0.0)]]))
+@example(np.array([[complex(-0.0, -0.0), complex(-0.0, 2.0), complex(-3.0, -0.0)]]))
+def test_encode_rc_has_the_bytes_of_numpy_complex_division(a):
+    assert encode_rc(a).state.amplitudes.tobytes() == encode_rc_reference(a).tobytes()
+
+
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5, -2.5, 1e308, -1e308]
+
+
+@st.composite
+def divisions(draw):
+    """``(z, divisor)``: a complex array of up to 8x8 whose parts are signed
+    zeros, subnormals, values near float64's largest or other finite floats,
+    and a divisor log-uniform in [1e-300, 1e300]."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    part = st.sampled_from(_EDGE_PARTS) | st.floats(allow_nan=False, allow_infinity=False)
+    parts = draw(st.lists(part, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    z = np.array(parts).view(np.complex128).reshape(rows, cols)
+    return z, 10.0 ** draw(st.floats(-300, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+def test_divide_has_the_bytes_of_numpy_complex_division(case):
+    z, divisor = case
+    rows, cols = z.shape
+    with np.errstate(over="ignore"):
+        want = np.divide(z, divisor)
+        window = np.zeros((rows + 1, cols + 2), dtype=np.complex128)
+        _divide(z, divisor, window[1:, 1:-1])  # a strided window, as encode_rc's
+        in_place = z.copy()
+        _divide(in_place, divisor, in_place)  # in place, as _finish's
+    assert window[1:, 1:-1].tobytes() == want.tobytes()
+    assert in_place.tobytes() == want.tobytes()
 
 
 # --- add, mul, solve and inner answers under a -> c*a over float64's range --
