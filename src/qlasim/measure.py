@@ -15,13 +15,14 @@ Three ways to read an ancilla out of a state:
 
 :func:`extract_labeled_branch` gives the successful result of either
 extraction from the labeled branch alone, as its nonzero amplitudes, for
-callers that know that branch in closed form; the dense post-state is built
-only when read.
+callers that know that branch in closed form.  All four report a
+:class:`MeasureResult`, whose dense ``post_state`` is built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,18 +39,27 @@ class EmptyBranchError(ValueError):
     """Post-selection on a branch that carries (numerically) no amplitude."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Outcome of one measurement-like operation.
 
     ``outcome`` is the measured bit, or ``None`` when nothing was measured
     (no labeled branch existed).  ``branch_weight`` is the squared norm the
-    selected branch had before renormalization.
+    selected branch had before renormalization.  ``post_state`` is
+    ``build()``, called on first read.  A result taken from the labeled
+    branch alone also holds its renormalized ``amplitudes`` at the flat
+    ``positions`` of the post-state, which is zero elsewhere.
     """
 
-    post_state: PureState
     outcome: int | None
     branch_weight: float
+    build: Callable[[], PureState] = field(repr=False)
+    positions: np.ndarray | None = None
+    amplitudes: np.ndarray | None = None
+
+    @cached_property
+    def post_state(self) -> PureState:
+        return self.build()
 
 
 def _sector(amps: np.ndarray, position: int, bit: int) -> np.ndarray:
@@ -121,7 +131,8 @@ def _selected(layout: RegisterLayout, branch: np.ndarray, position: int, bit: in
               weight: float) -> MeasureResult:
     """The projected ``branch`` renormalized in place, reported as outcome ``bit``."""
     _sector(branch, position, bit)[...] /= np.sqrt(weight)
-    return MeasureResult(PureState(layout, branch, _adopt=True), bit, weight)
+    state = PureState(layout, branch, _adopt=True)
+    return MeasureResult(bit, weight, lambda: state)
 
 
 def measure_sampled(state: PureState, qubit: QubitSpec, rng: np.random.Generator) -> MeasureResult:
@@ -163,29 +174,11 @@ def controlled_measure(state: PureState, control_ancilla: QubitSpec,
     try:
         return postselect(state, control_ancilla, 1)
     except EmptyBranchError:
-        return MeasureResult(post_state=state, outcome=None, branch_weight=0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledBranch:
-    """A successful extraction as its ``amplitudes`` at flat ``positions``; ``post_state``
-    builds the dense state, zeros elsewhere, on first read."""
-
-    layout: RegisterLayout
-    positions: np.ndarray
-    amplitudes: np.ndarray
-    branch_weight: float
-    outcome = 1  # a failed extraction returns None instead
-
-    @cached_property
-    def post_state(self) -> PureState:
-        amps = np.zeros(self.layout.dim, dtype=np.complex128)
-        amps[self.positions] = self.amplitudes
-        return PureState(self.layout, amps, _adopt=True)
+        return MeasureResult(None, 0.0, lambda: state)
 
 
 def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
-                           rng: np.random.Generator | None = None) -> LabeledBranch | None:
+                           rng: np.random.Generator | None = None) -> MeasureResult | None:
     """The successful result of an extraction, from the labeled branch alone.
 
     ``amplitudes`` sit at the strictly increasing flat ``positions`` of
@@ -212,4 +205,10 @@ def extract_labeled_branch(layout: RegisterLayout, positions: np.ndarray, amplit
     kept = amplitudes / np.sqrt(weight)
     _check_norm(kept)
     kept.setflags(write=False)
-    return LabeledBranch(layout, positions, kept, weight)
+
+    def build() -> PureState:
+        amps = np.zeros(layout.dim, dtype=np.complex128)
+        amps[positions] = kept
+        return PureState(layout, amps, _adopt=True)
+
+    return MeasureResult(1, weight, build, positions, kept)

@@ -8,7 +8,8 @@ ancilla in |0>, copies the label onto it with a CNOT and runs
 renormalized however small its weight, or leaves the state untouched when no
 labeled component exists.  The final stage gets that result bit for bit from
 the labeled amplitudes alone (:func:`~qlasim.measure.extract_labeled_branch`)
-and builds ``final_state`` when read, as it does the whole state where no
+and reports every outcome as one :class:`~qlasim.measure.MeasureResult`,
+whose ``post_state`` is built when read, as is the whole state where no
 labeled branch exists; only a failed sampled draw builds the dense state at
 once.  A dense build places the flag instead of running the CNOT: on a fresh
 |0> ancilla the CNOT only moves each amplitude to flag = label.
@@ -43,8 +44,8 @@ from .encode import (DecodedResult, EncodedMatrix, _checked, _finish, _norm_scal
                      _scaled)
 from .gates import _swapped_copy, hadamard_register, mcx_decomposition_count
 from .linalg import PreparationError
-from .measure import (EMPTY_BRANCH_TOL, LabeledBranch, MeasureResult, branch_probability,
-                      controlled_measure, extract_labeled_branch, measure_sampled)
+from .measure import (EMPTY_BRANCH_TOL, MeasureResult, branch_probability, controlled_measure,
+                      extract_labeled_branch, measure_sampled)
 from .rng import first_draws, stream
 from .states import NORM_TOL, PureState, RegisterLayout
 
@@ -96,49 +97,41 @@ class LabeledState:
         return PureState(self.layout, amps, _adopt=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _NotMeasured:
-    """No labeled branch: ``post_state``, the flagged ``labeled_state()``, built on first read."""
+def _placed(state: PureState, register: str, value: int, name: str) -> PureState:
+    """``state`` with a qubit ``name`` appended, |1> where ``register`` holds
+    ``value`` and |0> elsewhere.
 
-    labeled_state: Callable[[], PureState] = field(repr=False)
-    outcome = None
-    branch_weight = 0.0
-
-    @cached_property
-    def post_state(self) -> PureState:
-        return _flagged(self.labeled_state())
-
-
-def _flagged(state: PureState) -> PureState:
-    """``state`` with the flag appended and the label copied onto it.
-
-    The flag starts in |0>, so the CNOT is a placement: each amplitude goes
-    to flag = label, and the other flag value stays zero.
+    This is a flip of a fresh |0> ancilla controlled on ``register = value``
+    (the label on C = 0, the flag's CNOT on label = 1) as a placement: each
+    amplitude goes to one value of the new qubit, and the other stays zero.
     """
-    a = state.amplitudes.reshape(1 << state.layout.qubit_position((LABEL, 0)), 2, -1)
+    axes = state.layout.axes(register)
+    a = state.amplitudes.reshape(1 << axes.start, 1 << len(axes), -1)
     amps = np.zeros(a.shape + (2,), dtype=np.complex128)
-    amps[:, 0, :, 0] = a[:, 0]
-    amps[:, 1, :, 1] = a[:, 1]
-    return PureState(state.layout.extended(FLAG), amps, _adopt=True)
+    amps[:, :value, :, 0] = a[:, :value]
+    amps[:, value, :, 1] = a[:, value]
+    amps[:, value + 1:, :, 0] = a[:, value + 1:]
+    return PureState(state.layout.extended(name), amps, _adopt=True)
 
 
 @dataclass(frozen=True)
 class PipelineReport:
     """What one pipeline run produced.
 
-    ``outcome`` and ``branch_weight`` are read from ``measurement``, the final
-    stage's result.  ``outcome`` is 1 on success, ``None`` when no labeled
-    branch existed ("not-measured"), and 0 when a sampled-mode measurement
-    failed.  ``result`` is a :class:`~qlasim.encode.DecodedResult` for
-    matrix/vector outputs, a unit complex number for phase outputs, or
-    ``None`` on failure.  ``recovered_norm`` is the normalization constant
-    reconstructed from the branch weight.  ``final_state`` is the
-    post-measurement state (on "not-measured", the whole flagged state);
-    after a success and on "not-measured" it is built on first read, which
-    allocates the whole state.
+    ``outcome``, ``branch_weight`` and ``final_state`` are read from
+    ``measurement``, the final stage's :class:`~qlasim.measure.MeasureResult`.
+    ``outcome`` is 1 on success, ``None`` when no labeled branch existed
+    ("not-measured"), and 0 when a sampled-mode measurement failed.
+    ``result`` is a :class:`~qlasim.encode.DecodedResult` for matrix/vector
+    outputs, a unit complex number for phase outputs, or ``None`` on
+    failure.  ``recovered_norm`` is the normalization constant reconstructed
+    from the branch weight.  ``final_state`` is the post-measurement state
+    (on "not-measured", the whole flagged state); after a success and on
+    "not-measured" it is built on first read, which allocates the whole
+    state, and kept.
     """
 
-    measurement: MeasureResult | LabeledBranch | _NotMeasured = field(repr=False)
+    measurement: MeasureResult = field(repr=False)
     gate_depth: int
     recovered_norm: float | None = None
     result: DecodedResult | complex | None = None
@@ -204,7 +197,7 @@ def prepare_labeled_state(
 
 def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.ndarray,
                  mode: str, seed: int, labeled_state: Callable[[], PureState],
-                 floor: float) -> MeasureResult | LabeledBranch | _NotMeasured:
+                 floor: float) -> MeasureResult:
     """Shared final stage: flag ancilla, labeling CNOT, branch extraction.
 
     ``amplitudes`` are the labeled branch (label |1>) at the strictly
@@ -222,8 +215,9 @@ def _final_stage(layout: RegisterLayout, positions: np.ndarray, amplitudes: np.n
     if meas is not None and (rng is not None or meas.branch_weight > floor):
         return meas
     if rng is None:
-        return _NotMeasured(labeled_state)
-    return measure_sampled(_flagged(labeled_state()), (FLAG, 0), stream(seed, _SAMPLE_STREAM))
+        return MeasureResult(None, 0.0, lambda: _placed(labeled_state(), LABEL, 1, FLAG))
+    return measure_sampled(_placed(labeled_state(), LABEL, 1, FLAG), (FLAG, 0),
+                           stream(seed, _SAMPLE_STREAM))
 
 
 def _off_sector(block: np.ndarray) -> float:
@@ -271,21 +265,6 @@ def _row_sums_at_column_zero(encoded: EncodedMatrix) -> PureState:
     return hadamard_register(encoded.state, "C")
 
 
-def _label_column_zero(summed: PureState) -> PureState:
-    """The label appended and flipped to |1> where C is all zeros.
-
-    The label starts in |0>, so the flip is a placement: each amplitude goes
-    to label = 1 where C = 0 and to label = 0 elsewhere, and the other label
-    value stays zero.
-    """
-    c = summed.layout.axes("C")
-    a = summed.amplitudes.reshape(1 << c.start, 1 << len(c), -1)
-    amps = np.zeros(a.shape + (2,), dtype=np.complex128)
-    amps[:, 0, :, 1] = a[:, 0]
-    amps[:, 1:, :, 0] = a[:, 1:]
-    return PureState(summed.layout.extended(LABEL), amps, _adopt=True)
-
-
 def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> PipelineReport:
     """Sum the encoded matrix over its column index, one component per row.
 
@@ -302,7 +281,7 @@ def row_sum(encoded: EncodedMatrix, *, mode: str = "ideal", seed: int = 0) -> Pi
     layout = summed.layout.extended(LABEL)
     positions = layout.indices_of({"R": np.arange(1 << layout.width("R")), "C": 0, LABEL: 1})
     meas = _final_stage(layout, positions, summed.amplitudes.reshape(-1, 1 << n_sum)[:, 0],
-                        mode, seed, lambda: _label_column_zero(summed), EMPTY_BRANCH_TOL)
+                        mode, seed, lambda: _placed(summed, "C", 0, LABEL), EMPTY_BRANCH_TOL)
     if meas.outcome != 1:
         return PipelineReport(meas, depth)
 
@@ -620,13 +599,14 @@ def naive_success_bench(encoded_inputs, trials: int, master_seed: int) -> list[B
 
     inputs = []  # (n_r, analytic_p, p1, controlled_success_rate) per input
     for encoded in encoded_inputs:
+        summed = _row_sums_at_column_zero(encoded)  # refuses a non-RC encoding first
         n_r = encoded.state.layout.width("C")
         wr = encoded.state.layout.width("R")
         amp_matrix = encoded.state.amplitudes.reshape(1 << wr, 1 << n_r)
         sums = linalg.row_sums(amp_matrix)
         analytic_p = float(np.sum(np.abs(sums) ** 2) / (1 << n_r))
 
-        pre = _flagged(_label_column_zero(_row_sums_at_column_zero(encoded)))
+        pre = _placed(_placed(summed, "C", 0, LABEL), LABEL, 1, FLAG)
         p1 = branch_probability(pre, (FLAG, 0), 1)
         controlled = controlled_measure(pre, (LABEL, 0), (FLAG, 0))
         inputs.append((n_r, analytic_p, p1, 1.0 if controlled.outcome == 1 else 0.0))

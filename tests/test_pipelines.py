@@ -37,9 +37,9 @@ from qlasim import (
 from qlasim import pipelines
 from qlasim import rng as qlasim_rng
 from qlasim.linalg import SingularMatrixError
-from qlasim.measure import measure_sampled
-from qlasim.pipelines import (FLAG, LABEL, PreparationError, _label_column_zero,
-                              _row_sums_at_column_zero, _scale_divisor)
+from qlasim.measure import MeasureResult, measure_sampled
+from qlasim.pipelines import (FLAG, LABEL, PreparationError, _placed, _row_sums_at_column_zero,
+                              _scale_divisor)
 from qlasim.states import add_ancilla
 
 from _reference import extract_payload
@@ -114,21 +114,16 @@ def test_row_sum_gate_depth_is_linear_in_summed_width():
 
 @pytest.fixture
 def labeling_calls(monkeypatch):
-    """The number of labeled states (``_label_column_zero``) and of flagged
-    states (``_flagged``) that ``pipelines`` builds."""
-    calls = {"labels": 0, "flags": 0}
-    label, flag = pipelines._label_column_zero, pipelines._flagged
+    """The number of labeled states and of flagged states that ``pipelines``
+    builds: its ``_placed`` calls, counted by the name of the placed qubit."""
+    calls = {LABEL: 0, FLAG: 0}
+    placed = pipelines._placed
 
-    def counted_label(*args):
-        calls["labels"] += 1
-        return label(*args)
+    def counted(state, register, value, name):
+        calls[name] += 1
+        return placed(state, register, value, name)
 
-    def counted_flag(*args):
-        calls["flags"] += 1
-        return flag(*args)
-
-    monkeypatch.setattr(pipelines, "_label_column_zero", counted_label)
-    monkeypatch.setattr(pipelines, "_flagged", counted_flag)
+    monkeypatch.setattr(pipelines, "_placed", counted)
     return calls
 
 
@@ -137,18 +132,18 @@ def test_successful_row_sum_builds_no_labeled_state(labeling_calls):
     report = row_sum(encode_rc(_rand(np.random.default_rng(37), 4, 8)))
     assert report.outcome == 1
     report.final_state
-    assert labeling_calls == {"labels": 0, "flags": 0}
+    assert labeling_calls == {LABEL: 0, FLAG: 0}
 
 
 def test_not_measured_row_sum_builds_the_labeled_state_on_read(labeling_calls):
     s = 1 / np.sqrt(2)
     report = row_sum(encode_rc([[s, -s], [0.0, 0.0]]))
     assert report.outcome is None
-    assert labeling_calls == {"labels": 0, "flags": 0}
+    assert labeling_calls == {LABEL: 0, FLAG: 0}
     report.final_state
     report.final_state
     # The labeled state and its flag once, on the first read.
-    assert labeling_calls == {"labels": 1, "flags": 1}
+    assert labeling_calls == {LABEL: 1, FLAG: 1}
 
 
 # --- Hermitian conjugation ----------------------------------------------------
@@ -700,7 +695,7 @@ def test_bench_hits_equal_per_trial_measurement():
     rng = np.random.default_rng(49)
     for encoded, seed in ((encode_rc(_rand(rng, 4, 4)), 5),
                           (encode_rc(_single_column(2)), 2**64 - 1)):
-        pre = cnot(add_ancilla(_label_column_zero(_row_sums_at_column_zero(encoded)), FLAG),
+        pre = cnot(add_ancilla(_placed(_row_sums_at_column_zero(encoded), "C", 0, LABEL), FLAG),
                    (LABEL, 0), (FLAG, 0))
         hits = sum(measure_sampled(pre, (FLAG, 0), stream(seed, t)).outcome == 1
                    for t in range(300))
@@ -788,6 +783,8 @@ _LAYOUT_SL = RegisterLayout([("S", 1), (LABEL, 1)])
     (lambda: hermitian_conjugate(encode_rc(np.eye(2))), ValueError, "needs an RCM encoding"),
     (lambda: naive_success_bench(encode_rc(np.eye(2)), trials=0, master_seed=0), ValueError,
      "at least one trial"),
+    (lambda: naive_success_bench(encode_rcm(np.eye(2)), 10, 0), ValueError,
+     "row_sum needs an RC encoding"),
     (lambda: prepare_labeled_state({(0,): 1.0, (1,): 0.5}, _LAYOUT_SL, LABEL, 0.0, stream(0)),
      ValueError, "exceeds 1"),
     (lambda: prepare_labeled_state({(0,): 0.5}, _LAYOUT_SL, LABEL, -0.1, stream(0)),
@@ -802,9 +799,9 @@ _LAYOUT_SL = RegisterLayout([("S", 1), (LABEL, 1)])
     (lambda: _LAYOUT_SL.assignment_of(4), ValueError, "index 4 out of range"),
     (lambda: _LAYOUT_SL.axes("nope"), KeyError, "unknown register 'nope'"),
 ], ids=["mul-shape", "mul-zero", "solve-shape", "solve-zero", "add-zero", "rowsum-rcm",
-        "hconj-rc", "bench-trials", "prepare-excess", "prepare-garbage", "prepare-label",
-        "encode-zero", "encode-rank3", "swap-self", "postselect-bit", "assignment-range",
-        "axes-unknown"])
+        "hconj-rc", "bench-trials", "bench-rcm", "prepare-excess", "prepare-garbage",
+        "prepare-label", "encode-zero", "encode-rank3", "swap-self", "postselect-bit",
+        "assignment-range", "axes-unknown"])
 def test_documented_input_errors_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -921,6 +918,27 @@ def test_final_state_equals_eager_build(stage, eager, inputs, mode, seed, outcom
     assert np.array_equal(report.final_state.amplitudes, meas.post_state.amplitudes)
     if outcome is not None:
         assert report.branch_weight == meas.branch_weight
+
+
+_ROW_A = np.array([[2, 1j], [0.5, 3 - 1j]])
+
+
+@pytest.mark.parametrize("run, outcome", [
+    (lambda: row_sum(encode_rc(_ROW_A)), 1),
+    (lambda: row_sum(encode_rc([[1.0, -1.0], [0.0, 0.0]])), None),
+    (lambda: row_sum(encode_rc(_ROW_A), mode="sampled", seed=0), 1),
+    (lambda: row_sum(encode_rc(_ROW_A), mode="sampled", seed=4), 0),
+    (lambda: matrix_add(_ADD_A, _ADD_B), 1),
+    (lambda: matrix_add(_ADD_A, -_ADD_A), None),
+    (lambda: matrix_add(_ADD_A, _ADD_B, mode="sampled", seed=3), 1),
+    (lambda: matrix_add(_ADD_A, _ADD_B, mode="sampled", seed=0), 0),
+], ids=["rowsum-ideal", "rowsum-not-measured", "rowsum-sampled-1", "rowsum-sampled-0",
+        "add-ideal", "add-not-measured", "add-sampled-1", "add-sampled-0"])
+def test_every_final_stage_reports_one_measure_result(run, outcome):
+    report = run()
+    assert report.outcome == outcome
+    assert type(report.measurement) is MeasureResult
+    assert report.final_state is report.final_state
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (5, 7), (8, 8), (16, 12)])

@@ -39,8 +39,7 @@ from qlasim import (
 from qlasim.cli import CliInputError, dumps, matrix_to_filedict, read_matrix
 from qlasim.encode import _divide, _norm_scaling, _reg_width
 from qlasim.gates import PAULI, _flip_where
-from qlasim.pipelines import (FLAG, LABEL, _closed_form_stage, _decoded_block, _flagged,
-                              _label_column_zero)
+from qlasim.pipelines import FLAG, LABEL, _closed_form_stage, _decoded_block, _placed
 
 from _reference import (_apply_1q, decode_rcm_reference, decoded_block_reference,
                         encode_rc_reference, encode_rcm_reference, extract_payload)
@@ -181,7 +180,7 @@ def states_holding(draw, name, width=None):
 @given(states_holding("C"))
 def test_label_placement_has_the_bytes_of_the_zero_controlled_flip(state):
     chain = controlled_on_zero_flip(add_ancilla(state, LABEL), "C", (LABEL, 0))
-    placed = _label_column_zero(state)
+    placed = _placed(state, "C", 0, LABEL)
     assert placed.layout == chain.layout
     assert placed.amplitudes.tobytes() == chain.amplitudes.tobytes()
 
@@ -190,7 +189,7 @@ def test_label_placement_has_the_bytes_of_the_zero_controlled_flip(state):
 @given(states_holding(LABEL, 1))
 def test_flag_placement_has_the_bytes_of_the_cnot(state):
     chain = cnot(add_ancilla(state, FLAG), (LABEL, 0), (FLAG, 0))
-    placed = _flagged(state)
+    placed = _placed(state, LABEL, 1, FLAG)
     assert placed.layout == chain.layout
     assert placed.amplitudes.tobytes() == chain.amplitudes.tobytes()
 
