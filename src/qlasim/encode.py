@@ -6,7 +6,10 @@ Two schemes:
   |i>_R |j>_C is proportional to entry (i, j).
 * RCM: an extra one-qubit register ``M`` marks |0> real part, |1> imaginary
   part, so all amplitudes are real.  This is the encoding on which Hermitian
-  conjugation acts as a plain unitary.
+  conjugation acts as a plain unitary.  The encoding holds those amplitudes
+  as a float64 array of shape ``(2^wR, 2^wC, 2)``, half the bytes of a
+  complex state, and builds its complex ``PureState`` only when ``.state``
+  is read.
 
 Matrices are zero-padded up to power-of-two dimensions (each register needs
 at least one qubit); decoding reshapes the amplitudes of a state holding
@@ -19,12 +22,13 @@ pipelines' too, is finished here, its known scale checked against float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import PreparationError
-from .states import PureState, RegisterLayout
+from .states import PureState, RegisterLayout, _check_norm
 
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # 2^-511
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
@@ -35,27 +39,73 @@ class NonProductSectorError(ValueError):
     """Decoding failed: no amplitude mass lies inside the decoded window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedMatrix:
-    """A matrix stored in register amplitudes, with its lost magnitude."""
+    """A matrix stored in register amplitudes, with its lost magnitude.
 
-    state: PureState
+    ``amplitudes`` is an RC encoding's :class:`PureState`.  An RCM encoding's
+    amplitudes are all real: ``amplitudes`` is then a float64 array of shape
+    ``(2^wR, 2^wC, 2)`` over R, C and M, checked for unit norm as a state is
+    and frozen (in place when C-contiguous), and ``state`` builds the complex
+    state on first read.
+    ``conjugated`` records an odd number of :func:`~qlasim.hermitian_conjugate`
+    calls, which left the M=|1> amplitudes' imaginary zeros at -0 in the
+    complex state; the float array cannot hold that sign.
+    """
+
+    amplitudes: PureState | np.ndarray
     scheme: str  # "RC" or "RCM"
     rows: int
     cols: int
     scale: float
+    conjugated: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.scheme not in _REGISTERS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        _check_fields(self.state, self.scheme, self.rows, self.cols, self.scale)
+        if self.scheme == "RCM":
+            object.__setattr__(self, "amplitudes", _real_amplitudes(self.amplitudes))
+        _check_fields(self.layout, self.scheme, self.rows, self.cols, self.scale)
+
+    @property
+    def layout(self) -> RegisterLayout:
+        """Registers R, C (and M), most significant first."""
+        if self.scheme == "RC":
+            return self.amplitudes.layout
+        wr, wc = (extent.bit_length() - 1 for extent in self.amplitudes.shape[:2])
+        return RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
+
+    @cached_property
+    def state(self) -> PureState:
+        """The encoding as a complex state over ``layout``."""
+        if self.scheme == "RC":
+            return self.amplitudes
+        amps = np.zeros(self.amplitudes.shape, dtype=np.complex128)
+        amps.real = self.amplitudes
+        if self.conjugated:
+            amps.imag[..., 1] = -0.0
+        return PureState(self.layout, amps.reshape(-1), _adopt=True)
 
 
-def _check_fields(state: PureState, scheme: str, rows: int, cols: int, scale) -> None:
-    """Raise ``ValueError`` unless ``state`` holds exactly ``scheme``'s registers
+def _real_amplitudes(parts) -> np.ndarray:
+    """``parts`` as a frozen C-contiguous array, refused unless it is a
+    unit-norm float64 array of shape ``(2^wR, 2^wC, 2)``, ``wR, wC >= 1``."""
+    if not (isinstance(parts, np.ndarray) and parts.dtype == np.float64 and parts.ndim == 3
+            and parts.shape[2] == 2 and all(n > 1 and not n & (n - 1) for n in parts.shape[:2])):
+        held = (f"a state over {parts.layout.registers}" if isinstance(parts, PureState)
+                else f"{getattr(parts, 'dtype', type(parts).__name__)} of shape {np.shape(parts)}")
+        raise ValueError(f"an RCM encoding holds exactly the registers {_REGISTERS['RCM']} with M "
+                         f"of one qubit as a float64 array of shape (2^wR, 2^wC, 2); got {held}")
+    parts = np.ascontiguousarray(parts)
+    _check_norm(parts.reshape(-1).view(np.complex128))
+    parts.setflags(write=False)
+    return parts
+
+
+def _check_fields(layout: RegisterLayout, scheme: str, rows: int, cols: int, scale) -> None:
+    """Raise ``ValueError`` unless ``layout`` holds exactly ``scheme``'s registers
     in order (``M`` of one qubit), ``rows`` and ``cols`` fit in ``R`` and ``C``,
     and ``scale`` is finite and positive (``None``: unknown)."""
-    layout = state.layout
     if layout.names != _REGISTERS[scheme] or (scheme == "RCM" and layout.width("M") != 1):
         one_qubit_m = " with M of one qubit" if scheme == "RCM" else ""
         raise ValueError(f"an {scheme} encoding holds exactly the registers {_REGISTERS[scheme]}"
@@ -169,40 +219,46 @@ def encode_rcm(matrix) -> EncodedMatrix:
     b, divisor, scale = _norm_scaling(a)
     if not scale:
         raise ValueError("cannot encode an all-zero matrix")
-    padded = np.zeros((1 << wr, 1 << wc, 2), dtype=np.complex128)
-    # One divide: each entry's (re, im) pair lands on the real parts of M=0, M=1.
+    padded = np.zeros((1 << wr, 1 << wc, 2))
+    # One divide: each entry's (re, im) pair lands on M=0, M=1.
     parts = np.ascontiguousarray(b).view(np.float64).reshape(rows, cols, 2)
-    np.divide(parts, divisor, out=padded.view(np.float64)[:rows, :cols, ::2])
-    layout = RegisterLayout([("R", wr), ("C", wc), ("M", 1)])
-    return EncodedMatrix(PureState(layout, padded.reshape(-1), _adopt=True), "RCM", rows, cols, scale)
+    np.divide(parts, divisor, out=padded[:rows, :cols])
+    return EncodedMatrix(padded, "RCM", rows, cols, scale)
 
 
 def _window(source, rows, cols, scale, scheme: str) -> tuple[np.ndarray, float | None]:
     """``(amplitudes, scale)``: the amplitudes reshaped to ``(2^wR, 2^wC[, 2])``
-    and cropped to ``rows x cols``, with the scale to decode at."""
+    and cropped to ``rows x cols``, with the scale to decode at; an RCM
+    encoding's are its float64 array."""
     if isinstance(source, EncodedMatrix):
         if source.scheme != scheme:
             raise ValueError(f"expected scheme {scheme!r}, got {source.scheme!r}")
-        state = source.state
+        amps = source.amplitudes if scheme == "RCM" else source.state.amplitudes
         rows = source.rows if rows is None else rows
         cols = source.cols if cols is None else cols
         scale = source.scale if scale is None else scale
     else:
-        state = source
+        amps = source.amplitudes
         if rows is None or cols is None:
             raise ValueError("rows and cols are required when decoding a bare state")
     rows, cols = int(rows), int(cols)
-    _check_fields(state, scheme, rows, cols, scale)
-    shape = [1 << width for _, width in state.layout.registers]
-    return state.amplitudes.reshape(shape)[:rows, :cols], scale
+    layout = source.layout
+    _check_fields(layout, scheme, rows, cols, scale)
+    shape = [1 << width for _, width in layout.registers]
+    return amps.reshape(shape)[:rows, :cols], scale
 
 
 def _scaled(matrix: np.ndarray, scale, residual: float) -> DecodedResult:
-    """``matrix`` times ``scale`` in place (``None``: unknown), which float64 must hold."""
+    """``matrix`` times ``scale`` (``None``: unknown), which float64 must hold;
+    in place but for one entry, where numpy's in-place scalar loop adds
+    ``re * 0j`` and turns a real part that underflows to -0 into +0."""
     if scale is not None:
         if not 0.0 < scale < math.inf:
             raise PreparationError("the result's norm is outside float64's range")
-        matrix *= scale
+        if matrix.size == 1:
+            matrix = matrix * scale
+        else:
+            matrix *= scale
     return DecodedResult(matrix=matrix, known_scale=scale, residual=residual)
 
 
@@ -233,7 +289,21 @@ def decode_rc(source, rows: int | None = None, cols: int | None = None,
 def decode_rcm(source, rows: int | None = None, cols: int | None = None,
                scale: float | None = None) -> DecodedResult:
     """Recover a complex matrix from an RCM encoding (bare state: exactly
-    ``R``, ``C`` and a one-qubit ``M``), as :func:`decode_rc` does."""
+    ``R``, ``C`` and a one-qubit ``M``), as :func:`decode_rc` does.
+
+    A bare state's entries are ``c0 + 1j * c1`` for its marker's amplitudes.
+    An encoding's float pairs are its entries already, copied with the zero
+    signs that sum has on its ``state``: the imaginary part adds 0.0, which
+    turns -0 into +0, and so does the real part, which adds ``0 * c1`` (the
+    zero with the sign of ``c1``) instead while ``conjugated`` is false.
+    """
     cropped, scale = _window(source, rows, cols, scale, "RCM")
-    z = 1j * cropped[:, :, 1]
-    return _finish(np.add(cropped[:, :, 0], z, out=z), scale)
+    if not isinstance(source, EncodedMatrix):
+        z = 1j * cropped[:, :, 1]
+        return _finish(np.add(cropped[:, :, 0], z, out=z), scale)
+    matrix = np.empty(cropped.shape[:2], dtype=np.complex128)
+    pairs = matrix.view(np.float64).reshape(cropped.shape)
+    np.add(cropped, 0.0, out=pairs)
+    if not source.conjugated:
+        np.add(cropped[..., 0], np.copysign(0.0, cropped[..., 1]), out=pairs[..., 0])
+    return _finish(matrix, scale)

@@ -144,8 +144,9 @@ def apply_single(state: PureState, qubit: QubitSpec, gate: str) -> PureState:
     return PureState(state.layout, amps, _adopt=True)
 
 
-def _swapped_copy(state: PureState, name_a: str, name_b: str) -> tuple[RegisterLayout, np.ndarray]:
-    """:func:`swap_registers`' layout and a fresh, still writable amplitude buffer."""
+def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
+    """Exchange the contents of two registers of any widths: the amplitude at
+    |x>_a |y>_b moves to |y>_a |x>_b, and each name takes the other's width."""
     layout = state.layout
     if name_a == name_b:
         raise ValueError("cannot swap a register with itself")
@@ -158,13 +159,8 @@ def _swapped_copy(state: PureState, name_a: str, name_b: str) -> tuple[RegisterL
     element = np.dtype((np.void, 16 << trailing))
     a = state.amplitudes.view(element).reshape([1 << w for _, w in head])
     amps = a.swapaxes(ia, ib).copy().view(np.complex128)
-    return RegisterLayout([(name, widths.get(name, w)) for name, w in layout.registers]), amps
-
-
-def swap_registers(state: PureState, name_a: str, name_b: str) -> PureState:
-    """Exchange the contents of two registers of any widths: the amplitude at
-    |x>_a |y>_b moves to |y>_a |x>_b, and each name takes the other's width."""
-    return PureState(*_swapped_copy(state, name_a, name_b), _adopt=True)
+    return PureState(RegisterLayout([(name, widths.get(name, w)) for name, w in layout.registers]),
+                     amps, _adopt=True)
 
 
 def _flip_where(state: PureState, controls: dict[int, int], target: int) -> PureState:

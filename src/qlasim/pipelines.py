@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg, rng
 from .encode import (DecodedResult, EncodedMatrix, _checked, _finish, _norm_scaling, _reg_width,
                      _scaled)
-from .gates import _swapped_copy, hadamard_register, mcx_decomposition_count
+from .gates import hadamard_register, mcx_decomposition_count
 from .linalg import PreparationError
 from .measure import (EMPTY_BRANCH_TOL, MeasureResult, branch_probability, controlled_measure,
                       extract_labeled_branch, measure_sampled)
@@ -300,16 +300,21 @@ def hermitian_conjugate(encoded: EncodedMatrix) -> EncodedMatrix:
     A Z on the real/imaginary marker negates the imaginary parts and a
     register swap transposes the indices; the operation is unitary, produces
     no garbage, and is its own inverse; R and C exchange widths, so no shape is padded.
-    The simulator applies both in one copy: it negates the M=1 half (M is the
-    last qubit) of the swap's fresh buffer, so at peak it holds two buffers.
+    The simulator applies both to the encoding's real float64 amplitudes in
+    one copy: it transposes R and C and negates the M=1 half (M is the last
+    axis) of the fresh buffer, so at peak it holds two float buffers.
     """
     if encoded.scheme != "RCM":
         raise ValueError(f"hermitian_conjugate needs an RCM encoding, got {encoded.scheme!r}")
-    layout, amps = _swapped_copy(encoded.state, "R", "C")
-    imaginary = amps.reshape(-1, 2)[:, 1]
+    # Each (M=0, M=1) pair moves as one 16-byte element, which copies faster than two floats.
+    pairs = encoded.amplitudes.view(np.dtype((np.void, 16)))
+    parts = pairs.swapaxes(0, 1).copy().view(np.float64)
+    imaginary = parts[..., 1]
     np.negative(imaginary, out=imaginary)
-    return EncodedMatrix(PureState(layout, amps, _adopt=True), "RCM",
-                         rows=encoded.cols, cols=encoded.rows, scale=encoded.scale)
+    conjugate = EncodedMatrix(parts, "RCM", rows=encoded.cols, cols=encoded.rows,
+                              scale=encoded.scale)
+    object.__setattr__(conjugate, "conjugated", not encoded.conjugated)
+    return conjugate
 
 
 # ---------------------------------------------------------------------------

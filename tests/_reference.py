@@ -11,7 +11,9 @@ between qubits.  ``decode_rcm_reference`` is ``decode_rcm``'s arithmetic as
 it ran before it decoded in place, ``encode_rcm_reference`` is
 ``encode_rcm``'s as it ran with one strided divide per part, and
 ``encode_rc_reference`` is ``encode_rc``'s as it ran with numpy's complex
-division.
+division.  ``rcm_chain_reference`` is the RCM encoding, its conjugations and
+its decode as they ran on a complex state, before the encoding held its real
+amplitudes as float64 pairs.
 ``decoded_block_reference`` is the end stages' payload decode as it ran
 out of place in ``pipelines``, before ``encode`` finished every decoded result.
 """
@@ -77,6 +79,22 @@ def encode_rcm_reference(matrix) -> np.ndarray:
     np.divide(b.real, divisor, out=padded[:rows, :cols, 0].real)
     np.divide(b.imag, divisor, out=padded[:rows, :cols, 1].real)
     return padded.reshape(-1)
+
+
+def rcm_chain_reference(matrix, conjugations: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(amplitudes, matrix, residual)``: the state of ``encode_rcm(matrix)``
+    after ``conjugations`` calls of ``hermitian_conjugate``, each a copy with R
+    and C swapped and the M=1 amplitudes negated as complex numbers, and that
+    state's decode."""
+    a = _checked(matrix)
+    rows, cols = a.shape
+    amps = encode_rcm_reference(a).reshape(1 << _reg_width(rows), 1 << _reg_width(cols), 2)
+    for _ in range(conjugations):
+        amps = amps.transpose(1, 0, 2).copy()
+        amps[:, :, 1] = np.negative(amps[:, :, 1])
+        rows, cols = cols, rows
+    decoded, residual = decode_rcm_reference(amps[:rows, :cols], _norm_scaling(a)[2])
+    return amps.reshape(-1), decoded, residual
 
 
 def encode_rc_reference(matrix) -> np.ndarray:

@@ -9,6 +9,7 @@ from qlasim import (
     decode_rcm,
     encode_rc,
     encode_rcm,
+    hermitian_conjugate,
     row_sum,
 )
 from qlasim.pipelines import _off_sector
@@ -211,6 +212,18 @@ def test_encoded_matrix_checks_its_fields():
         row_sum(EncodedMatrix(enc.state, "RC", rows=5, cols=2, scale=enc.scale))
     with pytest.raises(ValueError, match="holds exactly the registers"):
         EncodedMatrix(enc.state, "RCM", rows=2, cols=2, scale=enc.scale)
+    # An RCM encoding holds its real amplitudes as a unit-norm float64 array.
+    parts = encode_rcm([[1.0, 2.0], [3.0, 4.0]]).amplitudes
+    for bad in (parts.astype(np.complex128), parts[:1], parts.reshape(2, 4, 1)):
+        with pytest.raises(ValueError, match="holds exactly the registers"):
+            EncodedMatrix(bad, "RCM", rows=1, cols=1, scale=enc.scale)
+    with pytest.raises(ValueError, match="not normalized"):
+        EncodedMatrix(2.0 * parts, "RCM", rows=2, cols=2, scale=enc.scale)
+    fortran = EncodedMatrix(np.asfortranarray(parts), "RCM", rows=2, cols=2, scale=1.0)
+    assert fortran.amplitudes.flags.c_contiguous and not fortran.amplitudes.flags.writeable
+    c_ordered = EncodedMatrix(parts, "RCM", rows=2, cols=2, scale=1.0)
+    assert np.array_equal(decode_rcm(hermitian_conjugate(fortran)).matrix,
+                          decode_rcm(hermitian_conjugate(c_ordered)).matrix)
     for scale in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite and positive"):
             decode_rc(EncodedMatrix(enc.state, "RC", rows=2, cols=2, scale=scale))

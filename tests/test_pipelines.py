@@ -1032,7 +1032,7 @@ def test_conjugation_holds_one_buffer_beside_its_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * conj.state.amplitudes.nbytes
+    assert peak < 1.25 * conj.amplitudes.nbytes
 
 
 def test_decode_rcm_allocates_its_matrix_and_one_real_buffer():
@@ -1046,6 +1046,19 @@ def test_decode_rcm_allocates_its_matrix_and_one_real_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * dec.matrix.nbytes
+
+
+def test_conjugating_and_decoding_512x512_holds_float_buffers():
+    # On complex state buffers the chain peaked at 16 MiB; the encoding's real
+    # float64 buffers take half of that.
+    a = _rand(np.random.default_rng(69), 512, 512)
+    tracemalloc.start()
+    try:
+        decode_rcm(hermitian_conjugate(encode_rcm(a)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_prepare_labeled_state_draws_garbage_on_first_read():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qlasim import (
     EMPTY_BRANCH_TOL,
+    EncodedMatrix,
     PureState,
     RegisterLayout,
     add_ancilla,
@@ -42,7 +43,8 @@ from qlasim.gates import PAULI, _flip_where
 from qlasim.pipelines import FLAG, LABEL, _closed_form_stage, _decoded_block, _placed
 
 from _reference import (_apply_1q, decode_rcm_reference, decoded_block_reference,
-                        encode_rc_reference, encode_rcm_reference, extract_payload)
+                        encode_rc_reference, encode_rcm_reference, extract_payload,
+                        rcm_chain_reference)
 
 NORM_DRIFT = 1e-12
 ROUND_TRIP_TOL = 1e-10  # README: oracle agreement relative to the largest entry
@@ -398,6 +400,9 @@ def payload_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(payload_blocks())
+# One entry whose real part underflows to -0 when scaled.
+@example((np.array([[complex(-0.0, -0.19217965), complex(-0.0, -0.98135976), complex(-0.0, -0.0)]])
+          / math.hypot(0.19217965, 0.98135976), (1, 1), 1e-16, 1 + 1.1125369292536007e-308j))
 def test_decoded_block_has_the_bytes_of_the_out_of_place_decode(case):
     block, crop, known_scale, phase_fix = case
     try:
@@ -440,6 +445,47 @@ def scaled_matrices(draw):
 @example(np.array([[complex(1e300, 0.0)], [complex(-1e300, -0.0)]]))
 def test_encode_rcm_has_the_bytes_of_one_divide_per_part(a):
     assert encode_rcm(a).state.amplitudes.tobytes() == encode_rcm_reference(a).tobytes()
+
+
+_RCM_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 0.5, -2.0]
+
+
+@st.composite
+def rcm_chain_inputs(draw):
+    """Matrices of up to 12x12 whose parts are signed zeros, subnormals, small
+    powers of two or Gaussian draws, C- or Fortran-ordered, never all zero."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, rows, cols))
+    edge = rng.random(parts.shape) < draw(st.floats(0.0, 1.0))
+    parts[edge] = rng.choice(_RCM_PARTS, size=int(np.count_nonzero(edge)))
+    assume(np.any(parts))
+    a = np.empty((rows, cols), dtype=np.complex128, order=draw(st.sampled_from("CF")))
+    a.real, a.imag = parts
+    return a
+
+
+@pytest.mark.parametrize("conjugations", range(4))
+@settings(max_examples=60, deadline=None)
+@given(rcm_chain_inputs())
+@example(np.array([[complex(-0.0, 1.0)]]))
+@example(np.array([[complex(-5e-324, -0.0)]]))
+@example(np.array([[complex(-0.0, 0.0), 2.0], [complex(0.0, -0.0), -3j]]))
+@example(_long_row_with_signed_zeros())
+def test_rcm_chain_has_the_bytes_of_the_complex_state_chain(conjugations, a):
+    encoded = encode_rcm(a)
+    for _ in range(conjugations):
+        encoded = hermitian_conjugate(encoded)
+    amplitudes, matrix, residual = rcm_chain_reference(a, conjugations)
+    got = decode_rcm(encoded)
+    assert "state" not in vars(encoded)  # the chain built no complex state
+    assert got.matrix.tobytes() == matrix.tobytes()
+    assert np.float64(got.residual).tobytes() == np.float64(residual).tobytes()
+    assert encoded.state.amplitudes.tobytes() == amplitudes.tobytes()
+    if conjugations % 2 == 0:  # no scale: no product hides a zero's sign
+        unscaled = EncodedMatrix(encoded.amplitudes, "RCM", encoded.rows, encoded.cols, None)
+        want = decode_rcm(encoded.state, encoded.rows, encoded.cols).matrix
+        assert decode_rcm(unscaled).matrix.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
